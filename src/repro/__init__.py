@@ -16,7 +16,7 @@ from repro.exceptions import (
 )
 from repro.ring.state import RingState
 from repro.ring.backends import (
-    DEFAULT_BACKEND,
+    ARRAY_MIN_N,
     FractionBackend,
     KinematicsBackend,
     LatticeBackend,
@@ -90,7 +90,7 @@ __all__ = [
     "RingState",
     "RingSimulator",
     "Scheduler",
-    "DEFAULT_BACKEND",
+    "ARRAY_MIN_N",
     "KinematicsBackend",
     "FractionBackend",
     "LatticeBackend",

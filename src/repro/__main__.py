@@ -13,7 +13,7 @@ Usage::
                         [--faults PLAN|@file.json]
     python -m repro sweep [--protocol location-discovery]
                           [--sizes 8,16] [--seeds 0,1,2,3]
-                          [--models perceptive] [--backends lattice]
+                          [--models perceptive] [--backends lattice,array]
                           [--driver native|callback] [--workers 4]
                           [--executor process] [--out X.json]
                           [--cache|--no-cache] [--cache-dir DIR]
@@ -21,12 +21,12 @@ Usage::
     python -m repro cache stats|verify|clear [--cache-dir DIR]
                                              [--sample N]
     python -m repro table1 [--odd 9,17,33] [--even 8,16,32] [--seed 1]
-                           [--backend lattice|fraction] [--json]
+                           [--backend lattice|fraction|array] [--json]
     python -m repro table2 [--backend ...] [--json]
     python -m repro figures [--backend ...] [--json]
     python -m repro lower-bounds [--backend ...] [--json]
     python -m repro demo [--n 8] [--model perceptive] [--seed 2024]
-                         [--backend lattice|fraction]
+                         [--backend lattice|fraction|array]
     python -m repro bench [--n 64] [--rounds 256] [--out BENCH.json]
     python -m repro bench-policies [--sizes 64,256,1024]
                                    [--out BENCH.json]
@@ -175,7 +175,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         ReproError,
     )
 
-    if args.shard is not None and args.backend != "array":
+    if args.shard is not None and args.backend not in (None, "array"):
         args.parser.error("--shard requires --backend array")
     faults = _parse_faults(args)
     if faults is not None:
@@ -278,7 +278,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     # Validate the comma-separated lists up front: a typo should be an
     # argparse-style error, not a traceback out of a pool worker.
     models = _names(args.models)
-    backends = _names(args.backends)
+    backends = _names(args.backends or "")
     valid_models = {m.value for m in Model}
     valid_backends = set(BACKEND_NAMES)
     bad = [m for m in models if m not in valid_models]
@@ -310,7 +310,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         sizes=sizes,
         seeds=_sizes(args.seeds),
         models=models,
-        backends=backends,
+        backends=backends or [None],
         common_sense=args.common_sense,
         driver=args.driver,
         unchecked=args.unchecked,
@@ -338,7 +338,7 @@ def _cmd_demo(args: argparse.Namespace) -> None:
         common_sense=False,
     )
     print(f"n={args.n}, model={model.value}, N={session.state.id_bound}, "
-          f"backend={args.backend}")
+          f"backend={session.backend_name}")
     result = session.run("location-discovery")
     print(f"location discovery solved in {result.rounds} rounds:")
     for phase, rounds in result.rounds_by_phase.items():
@@ -503,11 +503,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _add_backend(parser: argparse.ArgumentParser) -> None:
-    from repro.ring.backends import BACKEND_NAMES, DEFAULT_BACKEND
+    from repro.ring.backends import ARRAY_MIN_N, BACKEND_NAMES
 
     parser.add_argument(
-        "--backend", default=DEFAULT_BACKEND, choices=list(BACKEND_NAMES),
-        help="kinematics backend for the simulation",
+        "--backend", default=None, choices=list(BACKEND_NAMES),
+        help="kinematics backend for the simulation (default: array "
+        f"for rings of {ARRAY_MIN_N}+ agents, lattice below)",
     )
 
 
@@ -609,8 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--shard", type=int, default=None, metavar="WORKERS",
         help="run the array backend's fused spans across this many "
-        "worker processes over shared memory (requires --backend "
-        "array; bit-identical results, only worth it for large rings)",
+        "worker processes over shared memory (array backend only: "
+        "pass no --backend or --backend array; bit-identical results, "
+        "only worth it for large rings)",
     )
     _add_backend(run)
     _add_driver(run)
@@ -627,7 +629,10 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--sizes", default="8,16")
     sw.add_argument("--seeds", default="0,1,2,3")
     sw.add_argument("--models", default="perceptive")
-    sw.add_argument("--backends", default="lattice")
+    sw.add_argument(
+        "--backends", default=None,
+        help="comma-separated backends (default: chosen by ring size)",
+    )
     sw.add_argument("--workers", type=int, default=None)
     sw.add_argument(
         "--executor", default="process",

@@ -63,13 +63,13 @@ class SessionSpec:
     Mirrors the :class:`~repro.api.session.RingSession` builder
     arguments; ``protocol`` names a registry entry and ``backend`` any
     registered kinematics backend (``lattice``, ``fraction`` or
-    ``array``).
+    ``array``), or ``None`` for the session's size-resolved default.
     """
 
     n: int
     protocol: str = "location-discovery"
     model: str = "basic"
-    backend: str = "lattice"
+    backend: Optional[str] = None
     seed: int = 0
     common_sense: bool = False
     id_bound: Optional[int] = None
@@ -406,7 +406,7 @@ def sweep(
     sizes: Iterable[int] = (8,),
     seeds: Iterable[int] = (0,),
     models: Iterable[Union[Model, str]] = (Model.PERCEPTIVE,),
-    backends: Iterable[str] = ("lattice",),
+    backends: Iterable[Optional[str]] = (None,),
     common_sense: bool = False,
     id_bound: Optional[int] = None,
     config: str = "random",
@@ -417,7 +417,8 @@ def sweep(
     """Cartesian-product spec builder: sizes x seeds x models x backends.
 
     The iteration order is sizes-major (then seeds, models, backends),
-    so reports stay diffable across runs.
+    so reports stay diffable across runs.  A ``None`` backend (the
+    default) leaves the choice to each session's ring size.
     """
     specs: List[SessionSpec] = []
     for n in sizes:

@@ -3,14 +3,16 @@
 A session bundles a world state, a scheduler (with its kinematics
 backend) and the protocol registry behind a single builder::
 
-    session = RingSession(n=16, model="perceptive", backend="lattice",
-                          seed=7)
+    session = RingSession(n=16, model="perceptive", seed=7)
     result = session.run("location-discovery")
 
-``backend=`` accepts ``"lattice"`` (default), ``"fraction"`` (exact
-reference) or ``"array"`` (whole-column fused stretches for large
-rings; numpy-accelerated when numpy is installed) -- results are
-bit-identical across all three for both drivers.  ``shards=`` puts the
+``backend=`` accepts ``"lattice"`` (scalar integer rounds),
+``"fraction"`` (exact reference) or ``"array"`` (whole-column fused
+stretches; numpy-accelerated when numpy is installed) -- results are
+bit-identical across all three for both drivers.  Without ``backend=``
+the ring size decides: ``"array"`` from
+:data:`~repro.ring.backends.ARRAY_MIN_N` (16) agents up, ``"lattice"``
+below, so small-ring processes never import numpy.  ``shards=`` puts the
 array backend's fused spans onto a pool of worker processes over
 shared memory (:mod:`repro.parallel`), still bit-identical; it is only
 worth it for large rings (CLI: ``--shard``).
@@ -38,7 +40,7 @@ from repro.core.agent import AgentView
 from repro.core.scheduler import Scheduler
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.faults.plan import FaultPlan, FaultPlanLike
-from repro.ring.backends import BACKEND_NAMES, DEFAULT_BACKEND, BackendSpec
+from repro.ring.backends import BACKEND_NAMES, BackendSpec
 from repro.ring.state import RingState
 from repro.types import LocalDirection, Model, RoundOutcome
 
@@ -162,14 +164,13 @@ class RingSession:
             self.scheduler = scheduler
             self.faults = scheduler.faults
         else:
+            # None (the size-resolved default) passes through as-is.
             if shards is not None and shards > 1:
                 backend_label: Optional[str] = "array"
-            elif backend is None:
-                backend_label = DEFAULT_BACKEND
-            elif isinstance(backend, str):
+            elif backend is None or isinstance(backend, str):
                 backend_label = backend
             else:
-                backend_label = getattr(backend, "name", None)
+                backend_label = getattr(backend, "name", "")
             if shards is not None:
                 backend = _sharded_backend(backend, shards)
             model = _resolve_model(model) if model is not None else Model.BASIC
@@ -182,10 +183,8 @@ class RingSession:
                 # data, so their runs are addressable in the run store.
                 # Wrapped states, cross-validating schedulers and
                 # unregistered backend objects always compute.
-                if (
-                    not cross_validate
-                    and isinstance(backend_label, str)
-                    and backend_label in BACKEND_NAMES
+                if not cross_validate and (
+                    backend_label is None or backend_label in BACKEND_NAMES
                 ):
                     self._cache_args = {
                         "n": n,

@@ -69,8 +69,10 @@ def solve_coordination(
             (the Table II setting).  The caller must guarantee it.
         scheduler: Reuse an existing scheduler (e.g. to continue with
             location discovery); a new one is created otherwise.
-        backend: Kinematics backend name ("lattice"/"fraction") for a
-            newly created scheduler; ignored when ``scheduler`` is given.
+        backend: Kinematics backend name ("lattice"/"fraction"/"array")
+            for a newly created scheduler; ignored when ``scheduler`` is
+            given.  ``None`` picks by ring size (see
+            :func:`repro.ring.backends.make_backend`).
 
     Returns:
         A :class:`CoordinationResult` with the leader's ID and per-phase
@@ -98,8 +100,10 @@ def solve_location_discovery(
     Full location discovery from a cold start.
 
     Args:
-        backend: Kinematics backend name ("lattice"/"fraction"); the
-            default picks :data:`repro.ring.backends.DEFAULT_BACKEND`.
+        backend: Kinematics backend name ("lattice"/"fraction"/"array");
+            ``None`` picks ``"array"`` from
+            :data:`repro.ring.backends.ARRAY_MIN_N` agents up and
+            ``"lattice"`` below.
 
     Raises:
         InfeasibleProblemError: basic model with even n (Lemma 5).

@@ -23,9 +23,9 @@ from repro.ring.collisions import (
     position_at,
 )
 from repro.ring.backends import (
+    ARRAY_MIN_N,
     ArrayBackend,
     BACKEND_NAMES,
-    DEFAULT_BACKEND,
     FractionBackend,
     KinematicsBackend,
     LatticeBackend,
@@ -50,9 +50,9 @@ __all__ = [
     "AgentTrace",
     "TickTrace",
     "position_at",
+    "ARRAY_MIN_N",
     "ArrayBackend",
     "BACKEND_NAMES",
-    "DEFAULT_BACKEND",
     "KinematicsBackend",
     "FractionBackend",
     "LatticeBackend",

@@ -13,11 +13,14 @@ agents.  Given each agent's *local* direction choice it:
 4. returns per-agent :class:`~repro.types.Observation` values expressed
    in each agent's own frame (the backend commits the world state).
 
-Backend selection: pass ``backend="lattice"`` (default, integer
-arithmetic over one shared denominator) or ``backend="fraction"``
-(reference exact-rational implementation), or a ready
-:class:`~repro.ring.backends.KinematicsBackend` instance.  The two are
-property-tested to produce bit-identical outcomes.
+Backend selection: pass ``backend="lattice"`` (integer arithmetic over
+one shared denominator), ``backend="array"`` (lattice plus whole-column
+fused stretches), ``backend="fraction"`` (reference exact-rational
+implementation), or a ready
+:class:`~repro.ring.backends.KinematicsBackend` instance.  With no
+``backend=`` the ring size decides: ``array`` from
+:data:`~repro.ring.backends.ARRAY_MIN_N` agents up, ``lattice`` below.
+All are property-tested to produce bit-identical outcomes.
 
 Batched execution: :meth:`execute_batch` runs ``k`` rounds with a fixed
 direction vector, validating the model rules and mapping chiralities
@@ -68,7 +71,7 @@ class RingSimulator:
         self.state = state
         self.model = model
         self.cross_validate = cross_validate
-        self.backend = make_backend(backend)
+        self.backend = make_backend(backend, state.n)
         self.backend.attach(state)
         self.rounds_executed = 0
         self.collision_events = 0

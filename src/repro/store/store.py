@@ -20,7 +20,10 @@ degrades to its memory tier alone.
 Counters (hits / misses / stores / store failures) are in-process and
 appended to ``events.jsonl`` as one JSON line per process at exit, so
 ``python -m repro cache stats`` can report activity across the many
-short-lived processes of a test suite or CI job.
+short-lived processes of a test suite or CI job.  One module-level exit
+hook flushes every store still alive; the hook holds stores weakly, so
+a dropped store (and its memory tier) is freed -- call
+:meth:`RunStore.flush_events` first to keep its unflushed counters.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import atexit
 import copy
 import json
 import os
+import weakref
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterator, Optional
@@ -40,6 +44,15 @@ STORE_SCHEMA = 1
 DEFAULT_MEMORY_SLOTS = 256
 
 _COUNTER_FIELDS = ("hits", "misses", "stores", "store_failures")
+
+#: Every live store, flushed once at process exit.
+_LIVE_STORES: "weakref.WeakSet[RunStore]" = weakref.WeakSet()
+
+
+@atexit.register
+def _flush_live_stores() -> None:
+    for store in list(_LIVE_STORES):
+        store.flush_events()
 
 
 def default_cache_dir() -> Path:
@@ -76,7 +89,7 @@ class RunStore:
         self.misses = 0
         self.stores = 0
         self.store_failures = 0
-        atexit.register(self.flush_events)
+        _LIVE_STORES.add(self)
 
     # -- paths -----------------------------------------------------------
 
@@ -152,10 +165,11 @@ class RunStore:
         *,
         key: Dict[str, object],
         spec: Dict[str, object],
-        backend: str,
+        backend: Optional[str],
     ) -> bool:
         """File ``result`` under ``digest``; returns whether the disk
-        tier accepted it.
+        tier accepted it.  ``backend`` is the producing spec's backend
+        (``None``: the size-resolved default).
 
         The memory tier always takes the entry; the disk write is
         atomic (unique temp file, then ``os.replace``) and any

@@ -16,12 +16,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api.fleet import SessionSpec, run_session_spec
+from repro.api.session import RingSession
 from repro.core.scheduler import Scheduler
 from repro.exceptions import SimulationError
 from repro.ring.backends import (
+    ARRAY_MIN_N,
     ArrayBackend,
     BACKEND_NAMES,
-    DEFAULT_BACKEND,
     FractionBackend,
     LatticeBackend,
     make_backend,
@@ -80,10 +82,49 @@ def assert_rounds_identical(sims, directions_seq):
                 f"round {k} ({name})"
 
 
+#: (n, backend name) the size rule must give a default session.
+DEFAULT_BY_SIZE = ((8, "lattice"), (9, "lattice"), (16, "array"),
+                   (40, "array"))
+
+
 class TestMakeBackend:
-    def test_default_is_lattice(self):
-        assert DEFAULT_BACKEND == "lattice"
-        assert isinstance(make_backend(None), LatticeBackend)
+    def test_default_resolves_by_ring_size(self):
+        assert ARRAY_MIN_N == 16
+        assert make_backend(None).name == "lattice"
+        assert make_backend(None, ARRAY_MIN_N - 1).name == "lattice"
+        assert make_backend(None, ARRAY_MIN_N).name == "array"
+        for n, name in DEFAULT_BY_SIZE:
+            assert RingSession(n=n, seed=1).backend_name == name, n
+
+    def test_default_spec_row_resolves_by_ring_size(self, monkeypatch):
+        used = []
+        original = RingSession.run
+
+        def run(self, protocol):
+            used.append((self.state.n, self.backend_name))
+            return original(self, protocol)
+
+        monkeypatch.setattr(RingSession, "run", run)
+        for n, _name in DEFAULT_BY_SIZE:
+            spec = SessionSpec(n=n, model="lazy", seed=2)
+            assert spec.backend is None
+            assert run_session_spec(spec)["result"] is not None
+        assert used == list(DEFAULT_BY_SIZE)
+
+    def test_small_default_sessions_never_import_numpy(self, run_python):
+        # Keeps small-ring processes (CLI demos, fleet workers on tiny
+        # specs) free of numpy's one-time import cost.
+        proc = run_python(
+            "import sys\n"
+            "from repro import RingSession\n"
+            f"for n in (8, 9, {ARRAY_MIN_N - 1}):\n"
+            "    RingSession(n=n, model='lazy', seed=3)"
+            ".run('location-discovery')\n"
+            "    RingSession(n=n, seed=3).run('coordination')\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_by_name_and_instance(self):
         assert isinstance(make_backend("fraction"), FractionBackend)

@@ -70,6 +70,20 @@ class TestCli:
             assert row["spec"]["model"] == "basic"
             assert row["result"]["rounds"] > 0
 
+    def test_default_backend_follows_ring_size(self, capsys):
+        for n, name in ((9, "lattice"), (17, "array")):
+            assert main([
+                "run", "coordination", "--n", str(n), "--model", "lazy",
+                "--json",
+            ]) == 0
+            assert json.loads(capsys.readouterr().out)["backend"] == name
+        assert main([
+            "sweep", "--sizes", "17", "--seeds", "0", "--models", "lazy",
+            "--executor", "serial",
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"][0]["spec"]["backend"] is None
+
     def test_run_json_listing(self, capsys):
         assert main(["run", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -4,9 +4,11 @@ misfiled entries degrade to recompute, never to an error."""
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
+import weakref
 
 from repro.store.store import STORE_SCHEMA, RunStore, default_cache_dir
 
@@ -245,3 +247,25 @@ class TestMaintenance:
         )
         assert store.event_totals()["hits"] == 3
         assert store.event_totals()["misses"] == 0
+
+    def test_dropped_store_is_freed(self, tmp_path):
+        store = make_store(tmp_path)
+        put_one(store)
+        ref = weakref.ref(store)
+        del store
+        gc.collect()
+        assert ref() is None
+
+    def test_live_stores_flush_at_exit(self, tmp_path, run_python):
+        dirs = [str(tmp_path / "a"), str(tmp_path / "b")]
+        proc = run_python(
+            "import sys\n"
+            "from repro.store.store import RunStore\n"
+            "stores = [RunStore(path) for path in sys.argv[1:]]\n"
+            "for store in stores:\n"
+            "    store.get('00' * 32)\n",
+            *dirs,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for path in dirs:
+            assert RunStore(path).event_totals()["misses"] == 1

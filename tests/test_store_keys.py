@@ -73,7 +73,8 @@ class TestBackendIndependence:
     ways of computing the same result, so they must not key."""
 
     def test_backend_excluded(self):
-        for backend in ("lattice", "fraction", "array"):
+        # None is the size-resolved default backend.
+        for backend in (None, "lattice", "fraction", "array"):
             assert run_key(replace(SPEC, backend=backend)) == PINNED_DIGEST
 
     def test_driver_excluded(self):
