@@ -6,7 +6,7 @@ Usage::
     python -m repro run [coordination|location-discovery] [--n 8]
                         [--model perceptive] [--seed 2024]
                         [--backend lattice|fraction|array]
-                        [--shard 4] [--common-sense]
+                        [--common-sense]
                         [--driver native|callback]
                         [--unchecked] [--json]
                         [--cache|--no-cache] [--cache-dir DIR]
@@ -39,9 +39,6 @@ Usage::
                                     [--out BENCH.json]
     python -m repro bench-fleet [--sessions 16] [--n 24] [--workers 4]
                                 [--repeats 3] [--out BENCH.json]
-    python -m repro bench-shard [--sizes 65536,262144,1048576]
-                                [--shards 4] [--rounds 48]
-                                [--out BENCH.json]
     python -m repro bench-cache [--sessions 8] [--n 16] [--dupes 4]
                                 [--out BENCH.json]
 
@@ -175,8 +172,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
         ReproError,
     )
 
-    if args.shard is not None and args.backend not in (None, "array"):
-        args.parser.error("--shard requires --backend array")
     faults = _parse_faults(args)
     if faults is not None:
         try:
@@ -193,7 +188,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
         common_sense=args.common_sense,
         driver=args.driver,
         unchecked=args.unchecked,
-        shards=args.shard,
         cache=resolve_cache(args.cache),
         cache_dir=args.cache_dir,
         faults=faults,
@@ -436,21 +430,6 @@ def _cmd_bench_fleet(args: argparse.Namespace) -> None:
         print(f"wrote {args.out}")
 
 
-def _cmd_bench_shard(args: argparse.Namespace) -> None:
-    from repro.experiments.harness import shard_shootout
-
-    report = shard_shootout(
-        sizes=tuple(_sizes(args.sizes)), shards=args.shards,
-        rounds=args.rounds, seed=args.seed, repeats=args.repeats,
-    )
-    print(json.dumps(report, indent=2))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-
-
 def _cmd_bench_cache(args: argparse.Namespace) -> None:
     from repro.experiments.harness import cache_shootout
 
@@ -607,13 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=2024)
     run.add_argument("--common-sense", action="store_true")
-    run.add_argument(
-        "--shard", type=int, default=None, metavar="WORKERS",
-        help="run the array backend's fused spans across this many "
-        "worker processes over shared memory (array backend only: "
-        "pass no --backend or --backend array; bit-identical results, "
-        "only worth it for large rings)",
-    )
     _add_backend(run)
     _add_driver(run)
     _add_json(run)
@@ -764,21 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, help="also write the JSON report to this path"
     )
     bf.set_defaults(fn=_cmd_bench_fleet)
-
-    bsh = sub.add_parser(
-        "bench-shard",
-        help="time sharded whole-ring fused spans against the serial "
-        "array backend on large rings",
-    )
-    bsh.add_argument("--sizes", default="65536,262144,1048576")
-    bsh.add_argument("--shards", type=int, default=4)
-    bsh.add_argument("--rounds", type=int, default=48)
-    bsh.add_argument("--seed", type=int, default=11)
-    bsh.add_argument("--repeats", type=int, default=3)
-    bsh.add_argument(
-        "--out", default=None, help="also write the JSON report to this path"
-    )
-    bsh.set_defaults(fn=_cmd_bench_shard)
 
     bc = sub.add_parser(
         "bench-cache",

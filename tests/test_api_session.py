@@ -1,4 +1,4 @@
-"""RingSession / registry tests, and the solve_* deprecation shims."""
+"""RingSession / registry tests."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from repro import (
     get_protocol,
     list_protocols,
     random_configuration,
-    solve_coordination,
-    solve_location_discovery,
 )
 from repro.exceptions import ConfigurationError, ProtocolError
 
@@ -129,45 +127,64 @@ class TestRingSession:
         assert result.rounds_by_phase["direction_agreement"] == 0
 
 
-class TestDeprecatedShims:
+class TestWrappedStates:
+    """``from_state`` / ``from_scheduler`` are the entry points for
+    callers that build their own world state or scheduler."""
+
     @pytest.mark.parametrize("model", list(Model))
-    def test_solve_coordination_warns_and_matches(self, model):
-        state_new = random_configuration(8, seed=4, common_sense=False)
-        state_old = random_configuration(8, seed=4, common_sense=False)
-        expected = RingSession.from_state(state_new, model=model).run(
+    def test_from_state_coordination_is_reproducible(self, model):
+        state_a = random_configuration(8, seed=4, common_sense=False)
+        state_b = random_configuration(8, seed=4, common_sense=False)
+        first = RingSession.from_state(state_a, model=model).run(
             "coordination"
         )
-        with pytest.warns(DeprecationWarning, match="RingSession"):
-            legacy = solve_coordination(state_old, model)
-        assert legacy == expected
+        second = RingSession.from_state(state_b, model=model).run(
+            "coordination"
+        )
+        assert first == second
+        assert first.leader_id in state_a.ids
 
     @pytest.mark.parametrize("model,n", [
         (Model.BASIC, 9), (Model.LAZY, 8), (Model.PERCEPTIVE, 8),
     ])
-    def test_solve_location_discovery_warns_and_matches(self, model, n):
-        state_new = random_configuration(n, seed=6, common_sense=False)
-        state_old = random_configuration(n, seed=6, common_sense=False)
-        expected = RingSession.from_state(state_new, model=model).run(
+    def test_from_state_location_discovery_is_reproducible(self, model, n):
+        state_a = random_configuration(n, seed=6, common_sense=False)
+        state_b = random_configuration(n, seed=6, common_sense=False)
+        first = RingSession.from_state(state_a, model=model).run(
             "location-discovery"
         )
-        with pytest.warns(DeprecationWarning, match="RingSession"):
-            legacy = solve_location_discovery(state_old, model)
-        assert legacy == expected
+        second = RingSession.from_state(state_b, model=model).run(
+            "location-discovery"
+        )
+        assert first == second
+        assert len(first.gaps_by_agent) == n
 
-    def test_shim_infeasible_before_any_round(self):
+    def test_infeasible_before_any_round(self):
         state = random_configuration(8, seed=0, common_sense=False)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(InfeasibleProblemError):
-                solve_location_discovery(state, Model.BASIC)
+        session = RingSession.from_state(state, model=Model.BASIC)
+        with pytest.raises(InfeasibleProblemError):
+            session.run("location-discovery")
+        assert session.rounds == 0
 
-    def test_shim_scheduler_reuse_still_works(self):
+    def test_from_scheduler_continues_its_round_count(self):
         from repro.core.scheduler import Scheduler
 
         state = random_configuration(9, seed=5, common_sense=False)
         sched = Scheduler(state, Model.LAZY)
-        with pytest.warns(DeprecationWarning):
-            result = solve_coordination(state, Model.LAZY, scheduler=sched)
+        result = RingSession.from_scheduler(sched).run("coordination")
         assert result.rounds == sched.rounds > 0
+
+    @pytest.mark.parametrize("protocol", ["coordination", "location-discovery"])
+    def test_from_state_backends_agree(self, protocol):
+        results = [
+            RingSession.from_state(
+                random_configuration(8, seed=3, common_sense=False),
+                model=Model.PERCEPTIVE,
+                backend=backend,
+            ).run(protocol)
+            for backend in ("array", "lattice", "fraction")
+        ]
+        assert results[0] == results[1] == results[2]
 
 
 class TestResultSerialisation:

@@ -171,6 +171,37 @@ class TestStretchPlans:
         assert outcomes == expected
 
 
+class TestMixedSpanEquality:
+    """A multi-pair span with mixed directions (so agents collide)
+    yields the same observations, rotations and end state on the
+    array backend as on the scalar backends."""
+
+    def span(self, n):
+        row_a = [R if i % 3 else L for i in range(n)]
+        row_b = [d.opposite() for d in row_a]
+        return Stretch(pairs=[(row_a, 3), (row_b, 2), (row_a, 1)])
+
+    def run_span(self, backend, model, n):
+        state = random_configuration(n=n, seed=5, common_sense=False)
+        sched = Scheduler(state, model=model, backend=backend)
+        result = sched.run_stretch(self.span(n))
+        return (
+            list(result.rotations),
+            [result.observations(j) for j in range(result.k)],
+            sched.rounds,
+            sched.state.snapshot(),
+            [list(v.log) for v in sched.views],
+        )
+
+    @pytest.mark.parametrize("n", [8, 9, 24])
+    @pytest.mark.parametrize("model", list(Model))
+    def test_array_span_matches_scalar_backends(self, model, n):
+        columns = self.run_span("array", model, n)
+        assert columns[2] == 6
+        assert columns == self.run_span("lattice", model, n)
+        assert columns == self.run_span("fraction", model, n)
+
+
 class TestGuardRails:
     def test_oversized_denominator_declines_vectorised_plans(self):
         # A shared denominator past int64 range must push every layer

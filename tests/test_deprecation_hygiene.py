@@ -1,12 +1,7 @@
-"""Deprecation hygiene: nothing in-tree still routes through the
-``solve_*`` shims, and the shims blame the right caller.
-
-The CLI and the examples must run clean under
-``-W error::DeprecationWarning`` (a shim call anywhere in their path
-would abort them), and the shims' warnings must carry a ``stacklevel``
-that attributes the warning to the *caller's* file -- not to
-``full_stack.py`` or a helper frame -- so downstream users see their
-own offending line.
+"""Deprecation hygiene: the CLI and the examples run clean under
+``-W error::DeprecationWarning`` (a deprecated call anywhere in their
+path would abort them), and ``RingSession`` runs raise no deprecation
+warning in-process.
 """
 
 from __future__ import annotations
@@ -19,12 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.protocols.full_stack import (
-    solve_coordination,
-    solve_location_discovery,
-)
-from repro.ring.configs import random_configuration
-from repro.types import Model
+from repro.api.session import RingSession
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,24 +64,13 @@ class TestNoShimsInTree:
         assert "reconstructed" in proc.stdout
 
 
-class TestShimStacklevel:
-    """The warning must point at the caller of the shim -- this file."""
-
-    @pytest.mark.parametrize(
-        "shim,kwargs",
-        [
-            (solve_coordination, {"model": Model.BASIC}),
-            (solve_location_discovery, {"model": Model.LAZY}),
-        ],
-    )
-    def test_warning_blames_caller(self, shim, kwargs):
-        state = random_configuration(9, seed=1, common_sense=False)
+class TestSessionPathIsWarningFree:
+    @pytest.mark.parametrize("protocol", ["coordination", "location-discovery"])
+    def test_run_emits_no_deprecation_warning(self, protocol):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            shim(state, **kwargs)
-        deprecations = [
-            w for w in caught if w.category is DeprecationWarning
-        ]
-        assert len(deprecations) == 1
-        assert deprecations[0].filename == __file__
-        assert "deprecated" in str(deprecations[0].message)
+            RingSession(n=9, model="lazy", seed=1).run(protocol)
+        assert [
+            w for w in caught if issubclass(w.category, DeprecationWarning)
+        ] == []
+

@@ -7,9 +7,8 @@ import pytest
 from repro import (
     InfeasibleProblemError,
     Model,
+    RingSession,
     random_configuration,
-    solve_coordination,
-    solve_location_discovery,
 )
 from repro.combinatorics import bounds
 
@@ -39,7 +38,7 @@ class TestCoordinationPipelines:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_every_cell_elects_a_leader(self, model, n, seed):
         state = random_configuration(n, seed=seed, common_sense=False)
-        result = solve_coordination(state, model)
+        result = RingSession.from_state(state, model=model).run("coordination")
         assert result.leader_id in state.ids
         assert result.rounds > 0
         assert set(result.rounds_by_phase) == {
@@ -49,14 +48,16 @@ class TestCoordinationPipelines:
     @pytest.mark.parametrize("model", list(Model))
     def test_common_sense_setting(self, model):
         state = random_configuration(8, seed=2, common_sense=True)
-        result = solve_coordination(state, model, common_sense=True)
+        result = RingSession.from_state(
+            state, model=model, common_sense=True
+        ).run("coordination")
         assert result.leader_id == min(state.ids)
         assert result.rounds_by_phase["direction_agreement"] == 0
 
     def test_positions_restored(self):
         state = random_configuration(9, seed=5, common_sense=False)
         start = state.snapshot()
-        solve_coordination(state, Model.BASIC)
+        RingSession.from_state(state, model=Model.BASIC).run("coordination")
         assert state.snapshot() == start
 
 
@@ -64,40 +65,50 @@ class TestLocationDiscoveryPipelines:
     @pytest.mark.parametrize("n,seed", [(7, 0), (9, 1), (11, 2)])
     def test_basic_odd(self, n, seed):
         state = random_configuration(n, seed=seed, common_sense=False)
-        result = solve_location_discovery(state, Model.BASIC)
+        result = RingSession.from_state(
+            state, model=Model.BASIC
+        ).run("location-discovery")
         check_gaps(state, result)
         assert result.rounds_by_phase["discovery"] == n
 
     def test_basic_even_infeasible(self):
         state = random_configuration(8, seed=0, common_sense=False)
         with pytest.raises(InfeasibleProblemError):
-            solve_location_discovery(state, Model.BASIC)
+            RingSession.from_state(
+                state, model=Model.BASIC
+            ).run("location-discovery")
 
     @pytest.mark.parametrize("n,seed", [(7, 0), (8, 1), (12, 2)])
     def test_lazy(self, n, seed):
         state = random_configuration(n, seed=seed, common_sense=False)
-        result = solve_location_discovery(state, Model.LAZY)
+        result = RingSession.from_state(
+            state, model=Model.LAZY
+        ).run("location-discovery")
         check_gaps(state, result)
         assert result.rounds_by_phase["discovery"] == n
 
     @pytest.mark.parametrize("n,seed", [(8, 0), (12, 1), (16, 2)])
     def test_perceptive_even_uses_half_n(self, n, seed):
         state = random_configuration(n, seed=seed, common_sense=False)
-        result = solve_location_discovery(state, Model.PERCEPTIVE)
+        result = RingSession.from_state(
+            state, model=Model.PERCEPTIVE
+        ).run("location-discovery")
         check_gaps(state, result)
         assert result.rounds_by_phase["discovery"] == n // 2 + 3
 
     def test_perceptive_odd_falls_back_to_sweep(self):
         state = random_configuration(9, seed=3, common_sense=False)
-        result = solve_location_discovery(state, Model.PERCEPTIVE)
+        result = RingSession.from_state(
+            state, model=Model.PERCEPTIVE
+        ).run("location-discovery")
         check_gaps(state, result)
         assert result.rounds_by_phase["discovery"] == 9
 
     def test_common_sense_lazy_matches_table2(self):
         state = random_configuration(10, seed=4, common_sense=True)
-        result = solve_location_discovery(
-            state, Model.LAZY, common_sense=True
-        )
+        result = RingSession.from_state(
+            state, model=Model.LAZY, common_sense=True
+        ).run("location-discovery")
         check_gaps(state, result)
         n, big_n = state.n, state.id_bound
         # Table II: n + O(log N).  Generous constant for the emptiness
@@ -105,12 +116,53 @@ class TestLocationDiscoveryPipelines:
         assert result.rounds <= n + 20 * bounds.log_n_bound(big_n)
 
 
+ODD_ROUTE = ["direction_agreement", "leader_election", "nontrivial_move"]
+EVEN_ROUTE = ["nontrivial_move", "direction_agreement", "leader_election"]
+
+
+class TestRoutingTable:
+    """The Table I / Table II routing summarised in the
+    :mod:`repro.api.registry` docstring, checked phase by phase."""
+
+    @pytest.mark.parametrize("n,model,common_sense,route", [
+        (9, Model.BASIC, False, ODD_ROUTE),
+        (9, Model.LAZY, False, ODD_ROUTE),
+        (9, Model.PERCEPTIVE, False, ODD_ROUTE),
+        (8, Model.BASIC, False, EVEN_ROUTE),
+        (8, Model.LAZY, False, EVEN_ROUTE),
+        (8, Model.PERCEPTIVE, False, EVEN_ROUTE),
+        (8, Model.BASIC, True, ODD_ROUTE),
+    ])
+    def test_coordination_route(self, n, model, common_sense, route):
+        session = RingSession(
+            n=n, model=model, seed=1, common_sense=common_sense
+        )
+        assert [p.name for p in session.plan("coordination")] == route
+
+    @pytest.mark.parametrize("n,model,tail", [
+        (9, Model.BASIC, ["discovery"]),
+        (8, Model.LAZY, ["discovery"]),
+        (9, Model.PERCEPTIVE, ["discovery"]),
+        (8, Model.PERCEPTIVE, [
+            "neighbor_discovery", "ring_distances",
+            "ring_size_broadcast", "discovery",
+        ]),
+    ])
+    def test_location_discovery_route(self, n, model, tail):
+        session = RingSession(n=n, model=model, seed=1)
+        coordination = [p.name for p in session.plan("coordination")]
+        planned = [p.name for p in session.plan("location-discovery")]
+        assert planned == coordination + tail
+
+
 class TestPublicApi:
     def test_quickstart_surface(self):
         import repro
 
         state = repro.random_configuration(n=9, seed=1)
-        result = repro.solve_location_discovery(state, repro.Model.BASIC)
+        result = repro.RingSession.from_state(
+            state, model=repro.Model.BASIC
+        ).run("location-discovery")
         assert result.rounds >= 9
         assert len(result.gaps_by_agent) == 9
         assert sum(result.gaps_by_agent[0], Fraction(0)) == 1

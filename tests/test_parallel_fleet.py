@@ -1,6 +1,6 @@
 """Warm-pool fleet execution: bit-identical reports across executors
-and worker counts, pool persistence across runs, and the slot-overflow
-fallback.
+and worker counts, pool persistence across runs, the slot-overflow
+fallback, and pool failures that leak no shared-memory segment.
 
 The zero-copy executor must be invisible in the results: the same
 ``{"spec", "result", "seconds"}`` rows (timings aside) whether specs
@@ -11,10 +11,13 @@ backend combination of the sweep.
 
 from __future__ import annotations
 
+from concurrent.futures import Future
+
 import pytest
 
 from repro.api.fleet import Fleet, sweep
 from repro.exceptions import ConfigurationError
+from repro.parallel import shm
 from repro.parallel.pool import (
     WorkerPool,
     get_pool,
@@ -40,6 +43,17 @@ class TestPooledDeterminism:
     def test_bit_identical_to_serial(self, workers):
         fleet = Fleet(SPECS, workers=workers, executor="process")
         assert fleet.run().payloads() == SERIAL.payloads()
+
+    def test_coordination_sweep_matches_serial(self):
+        specs = sweep(
+            protocol="coordination",
+            sizes=(8, 9),
+            seeds=(0,),
+            models=("basic", "perceptive"),
+        )
+        serial = Fleet(specs, executor="serial").run()
+        pooled = Fleet(specs, workers=2, executor="process").run()
+        assert pooled.payloads() == serial.payloads()
 
     def test_thread_executor_still_matches(self):
         threads = Fleet(SPECS, workers=2, executor="thread").run()
@@ -117,6 +131,43 @@ class TestSlotOverflow:
             {"spec": row["spec"], "result": row["result"]} for row in rows
         ]
         assert stripped == SERIAL.payloads()
+
+
+class BrokenPool(WorkerPool):
+    """A pool that never spawns: jobs fail at submission or in-flight."""
+
+    def __init__(self, fail_at: str) -> None:
+        super().__init__(2)
+        self.fail_at = fail_at
+
+    def warm(self) -> None:
+        pass
+
+    def submit(self, fn, *args):
+        if self.fail_at == "submit":
+            raise RuntimeError("worker pool is gone")
+        future: Future = Future()
+        future.set_exception(RuntimeError("worker pool is gone"))
+        return future
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("fail_at", ["submit", "result"])
+    def test_pool_failure_propagates_without_leaking(self, fail_at):
+        before = dict(shm._OWNED)
+        with pytest.raises(RuntimeError, match="worker pool is gone"):
+            run_specs_pooled(SPECS, workers=2, pool=BrokenPool(fail_at))
+        assert shm._OWNED == before
+
+    def test_shm_unavailable_propagates(self, monkeypatch):
+        def no_shm(layout):
+            raise OSError("shared memory unavailable")
+
+        monkeypatch.setattr(shm.ShmArena, "create", no_shm)
+        before = dict(shm._OWNED)
+        with pytest.raises(OSError, match="shared memory unavailable"):
+            run_specs_pooled(SPECS, workers=2, pool=BrokenPool("result"))
+        assert shm._OWNED == before
 
 
 class TestValidation:
