@@ -10,6 +10,7 @@ agents.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Sequence
 
@@ -60,14 +61,28 @@ def is_ring_ordered(positions: Sequence[Fraction]) -> bool:
     A sequence is ring ordered when, starting anywhere, walking clockwise
     meets the agents in index order.  Equivalently the clockwise gaps are
     all strictly positive and sum to exactly 1.
+
+    Checked on integers: every position becomes a numerator over the
+    shared ``lcm`` denominator ``D`` (the representation
+    :class:`~repro.ring.backends.LatticeBackend` runs on) and each gap
+    is a difference mod ``D``, so positions outside ``[0, 1)`` need no
+    reduction.  Positive gaps summing to exactly one turn imply
+    distinct positions.
     """
     n = len(positions)
     if n == 0:
         return True
-    if len(set(normalize(p) for p in positions)) != n:
-        return False
-    total = sum(gaps(positions), ZERO)
-    return total == ONE and all(g > 0 for g in gaps(positions))
+    scale = math.lcm(*(p.denominator for p in positions))
+    num = [p.numerator * (scale // p.denominator) for p in positions]
+    total = 0
+    prev = num[-1]
+    for x in num:
+        gap = (x - prev) % scale
+        if gap == 0:
+            return False
+        total += gap
+        prev = x
+    return total == scale
 
 
 def sort_ring(positions: Sequence[Fraction]) -> List[int]:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import atexit
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -276,9 +275,3 @@ def run_specs_pooled(
             results_view.release()
     return rows
 
-
-def elapsed_run(fn) -> Tuple[object, float]:
-    """``(fn(), wall seconds)`` -- tiny helper for warm-pool timing."""
-    start = time.perf_counter()
-    value = fn()
-    return value, time.perf_counter() - start

@@ -113,6 +113,62 @@ def aligned_vector(
     ]
 
 
+def frame_signs(xp: Any, flips: Sequence[bool]) -> Any:
+    """The ``frame`` argument of :func:`probe_row`: with numpy
+    (``xp``) the per-slot int8 factor taking common-frame signs to
+    local ones (-1 where the frame is flipped), else ``flips`` itself."""
+    if xp is None:
+        return flips
+    return xp.where(xp.asarray(flips, dtype=bool), -1, 1).astype(xp.int8)
+
+
+_COMMON_SIGN = {RIGHT: 1, LEFT: -1, IDLE: 0}
+
+
+def probe_row(
+    xp: Any, frame: Any, members: Sequence[Any], other: LocalDirection
+) -> Any:
+    """The local row in which ``members`` (a per-slot truth column)
+    move common-RIGHT and every other slot plays common ``other``.
+
+    With numpy (``xp``) an int8 sign row, otherwise a direction vector
+    (:func:`aligned_vector`); ``frame`` is :func:`frame_signs`.
+    """
+    if xp is None:
+        return aligned_vector(frame, [RIGHT if m else other for m in members])
+    rest = _COMMON_SIGN[other]
+    return xp.where(members, 1, rest).astype(xp.int8) * frame
+
+
+def moved_column(result: Any, xp: Any = None, coll: bool = False) -> Any:
+    """Round 0's "did I move?" bit per slot: ``dist() != 0`` (or, with
+    ``coll``, also a reported collision) in a stretch outcome.
+
+    Reads the raw integer rows (numpy int64 or stdlib ``array``) and
+    falls back to materialised observations only on a
+    :class:`~repro.ring.stretch.MaterialisedStretch`.  Returns a numpy
+    bool array when ``xp`` is given, else a list of bools.
+    """
+    dist = result.dist_ints(0)
+    if dist is None:
+        moved: Any = [
+            o.dist != 0 or (coll and o.coll is not None)
+            for o in result.observations(0)
+        ]
+        return xp.asarray(moved, dtype=bool) if xp is not None else moved
+    colls = result.coll_ints(0) if coll else None
+    if result.np is not None:
+        moved = dist != 0
+        if colls is not None:
+            moved |= colls >= 0
+        return moved if xp is not None else moved.tolist()
+    if colls is None:
+        moved = [d != 0 for d in dist]
+    else:
+        moved = [d != 0 or c >= 0 for d, c in zip(dist, colls)]
+    return xp.asarray(moved, dtype=bool) if xp is not None else moved
+
+
 def common_dists(
     flips: Sequence[bool], observations: Sequence[Observation]
 ) -> List[Fraction]:

@@ -3,12 +3,15 @@
 
 Same probe rounds per model (Lemma 12), same ``empty.result`` consensus
 column; occupancy evidence is OR-folded over the observation column in
-one pass.
+one pass.  Each probe and its REVERSEDROUND run as one fused
+:meth:`~repro.ring.stretch.Stretch.probe_restore` span whose harvest
+reads the probe's raw integer ``dist()``/``coll()`` rows; with numpy
+the probe rows are int8 sign rows and the evidence a bool array.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Any, Iterable, List, Optional
 
 from repro.core.population import MISSING
 from repro.core.scheduler import Scheduler
@@ -18,38 +21,14 @@ from repro.protocols.emptiness import KEY_EMPTY_RESULT, _KEY_SAW
 from repro.protocols.policies.base import (
     IDLE,
     LEFT,
-    RIGHT,
-    aligned_vector,
+    frame_signs,
+    moved_column,
+    probe_row,
     require_column,
-    run_vector,
 )
 from repro.core.agent import id_bits
-from repro.types import LocalDirection, Model
-
-
-def _member_round(
-    sched: Scheduler,
-    members: set,
-    non_member_dir: LocalDirection,
-    saw: List[bool],
-) -> None:
-    """One probe + its reversal; ORs occupancy evidence into ``saw``."""
-    population = sched.population
-    flips = require_column(
-        population,
-        KEY_FRAME_FLIP,
-        "emptiness testing requires an established common frame",
-    )
-    commons = [
-        RIGHT if agent_id in members else non_member_dir
-        for agent_id in population.ids
-    ]
-    vector = aligned_vector(flips, commons)
-    obs = run_vector(sched, vector)
-    for i, o in enumerate(obs):
-        if o.dist != 0 or o.coll is not None:
-            saw[i] = True
-    run_vector(sched, [d.opposite() for d in vector])
+from repro.ring.stretch import Stretch
+from repro.types import Model
 
 
 def emptiness_test(sched: Scheduler, candidate_ids: Iterable[int]) -> bool:
@@ -59,33 +38,54 @@ def emptiness_test(sched: Scheduler, candidate_ids: Iterable[int]) -> bool:
     members = set(candidate_ids)
     population = sched.population
     model = sched.model
-    parity_even = population.parity_even
+    flips = require_column(
+        population,
+        KEY_FRAME_FLIP,
+        "emptiness testing requires an established common frame",
+    )
 
-    saw = [False] * population.n
+    # Probe B itself (non-members common-LEFT, or idle in the lazy
+    # model); in the basic model with even n, then each bit-slice of B.
+    other = IDLE if model is Model.LAZY else LEFT
+    slices: List[Optional[int]] = [None]
+    if model is Model.BASIC and population.parity_even:
+        slices += range(id_bits(population.id_bound))
 
-    if model is Model.LAZY:
-        _member_round(sched, members, IDLE, saw)
-    elif model is Model.PERCEPTIVE or not parity_even:
-        _member_round(sched, members, LEFT, saw)
+    ids = population.ids
+    member = [agent_id in members for agent_id in ids]
+    xp = sched.array_module
+    frame = frame_signs(xp, flips)
+    saw: Any
+    if xp is not None:
+        member_col: Any = xp.asarray(member, dtype=bool)
+        id_col = xp.asarray(ids, dtype=xp.int64)
+        saw = xp.zeros(population.n, dtype=bool)
     else:
-        # Basic model, even n: probe B, then each bit-slice of B.
-        _member_round(sched, members, LEFT, saw)
-        for i in range(id_bits(population.id_bound)):
-            slice_i = {x for x in members if (x >> i) & 1}
-            _member_round(sched, slice_i, LEFT, saw)
+        member_col = member
+        saw = [False] * population.n
+    for bit in slices:
+        mask = member_col
+        if bit is not None:
+            if xp is not None:
+                mask = mask & ((id_col >> bit) & 1).astype(bool)
+            else:
+                mask = [m and (x >> bit) & 1 for m, x in zip(member, ids)]
+        result = sched.run_stretch(
+            Stretch.probe_restore(probe_row(xp, frame, mask, other))
+        )
+        moved = moved_column(result, xp, coll=model.reports_collisions)
+        if xp is not None:
+            saw |= moved
+        else:
+            saw = [s or m for s, m in zip(saw, moved)]
+    if xp is not None:
+        saw = saw.tolist()
 
-    results = [
-        False if agent_id in members else not saw[i]
-        for i, agent_id in enumerate(population.ids)
-    ]
+    results = [False if m else not s for m, s in zip(member, saw)]
     # Mirror the legacy driver exactly: it pops its occupancy scratch
     # key only for non-members, so member agents keep theirs.
     population.set_column(
-        _KEY_SAW,
-        [
-            saw[i] if agent_id in members else MISSING
-            for i, agent_id in enumerate(population.ids)
-        ],
+        _KEY_SAW, [s if m else MISSING for m, s in zip(member, saw)]
     )
     population.set_column(KEY_EMPTY_RESULT, results)
     if any(r != results[0] for r in results):

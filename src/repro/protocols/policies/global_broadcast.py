@@ -1,9 +1,14 @@
 """Native rotation-coded broadcast (vectorised twin of
-:mod:`repro.protocols.global_broadcast`)."""
+:mod:`repro.protocols.global_broadcast`).
+
+Each bit is one fused :meth:`~repro.ring.stretch.Stretch.probe_restore`
+span; its harvest reads the probe's raw ``dist()`` row.  With numpy the
+probe rows are int8 sign rows and the received bits accumulate in an
+int64 column."""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.core.agent import id_bits
 from repro.core.scheduler import Scheduler
@@ -12,11 +17,12 @@ from repro.protocols.base import KEY_FRAME_FLIP
 from repro.protocols.global_broadcast import KEY_BROADCAST_VALUE
 from repro.protocols.policies.base import (
     LEFT,
-    RIGHT,
-    aligned_vector,
+    frame_signs,
+    moved_column,
+    probe_row,
     require_column,
-    run_vector,
 )
+from repro.ring.stretch import Stretch
 
 
 def broadcast_value(
@@ -47,19 +53,28 @@ def broadcast_value(
     if value >= (1 << bits):
         raise ProtocolError(f"value {value} does not fit in {bits} bits")
 
-    acc: List[int] = [0] * population.n
+    xp = sched.array_module
+    frame = frame_signs(xp, flips)
+    if xp is not None:
+        senders: Any = xp.asarray(announcers, dtype=bool)
+        silent: Any = xp.zeros(population.n, dtype=bool)
+        acc: Any = xp.zeros(population.n, dtype=xp.int64)
+    else:
+        senders = announcers
+        silent = [False] * population.n
+        acc = [0] * population.n
     for bit in range(bits):
-        commons = [
-            RIGHT if announcers[i] and ((value >> bit) & 1) else LEFT
-            for i in range(population.n)
-        ]
-        vector = aligned_vector(flips, commons)
-        obs = run_vector(sched, vector)
-        for i, o in enumerate(obs):
-            if o.dist != 0:
-                acc[i] |= 1 << bit
-        run_vector(sched, [d.opposite() for d in vector])
+        sending = senders if (value >> bit) & 1 else silent
+        row = probe_row(xp, frame, sending, LEFT)
+        result = sched.run_stretch(Stretch.probe_restore(row))
+        moved = moved_column(result, xp)
+        if xp is not None:
+            acc |= moved.astype(xp.int64) << bit
+        else:
+            acc = [a | (m << bit) for a, m in zip(acc, moved)]
 
+    if xp is not None:
+        acc = acc.tolist()
     population.set_column(result_key, acc)
     results = set(acc)
     if results != {value}:

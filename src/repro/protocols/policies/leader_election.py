@@ -2,15 +2,18 @@
 :mod:`repro.protocols.leader_election`).
 
 :class:`LeaderElectionPolicy` is Algorithm 2 as one whole-population
-policy: per ID bit, a candidate probe (2 rounds, data-dependent vector
-from the candidate state) whose restore-step harvest refines the
-candidate set.  The Lemma 13 emptiness-bisection route reuses the
+policy: per ID bit, a candidate probe and its REVERSEDROUND planned as
+one fused :meth:`~repro.ring.stretch.Stretch.probe_restore` span (2
+rounds, data-dependent row from the candidate state) whose harvest
+reads the probe's raw ``dist()`` row and refines the candidate set.
+With numpy the candidate state is a bool array and the probe rows are
+int8 sign rows.  The Lemma 13 emptiness-bisection route reuses the
 native emptiness test.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional
 
 from repro.core.agent import id_bits
 from repro.core.scheduler import Scheduler
@@ -20,13 +23,14 @@ from repro.protocols.leader_election import _KEY_SAW_NONZERO
 from repro.protocols.policies.base import (
     LEFT,
     PhasePolicy,
-    RESTORE,
     RIGHT,
-    aligned_vector,
+    frame_signs,
+    moved_column,
+    probe_row,
     require_column,
 )
 from repro.protocols.policies.emptiness import emptiness_test
-from repro.types import Observation
+from repro.ring.stretch import Stretch
 
 
 class LeaderElectionPolicy(PhasePolicy):
@@ -46,51 +50,69 @@ class LeaderElectionPolicy(PhasePolicy):
         )
         nmove = require_column(population, KEY_NMOVE_DIR, precondition)
         flips = require_column(population, KEY_FRAME_FLIP, precondition)
-        self._flips = flips
         # Candidates: agents that moved common-RIGHT in the nontrivial
         # round (aligned_direction(view, RIGHT) is nmove.dir).
-        self._candidates = [
+        candidates = [
             (LEFT if flip else RIGHT) is direction
             for flip, direction in zip(flips, nmove)
         ]
+        xp = self.xp
+        self._frame = frame_signs(xp, flips)
+        if xp is not None:
+            self._ids = xp.asarray(population.ids, dtype=xp.int64)
+            self._candidates: Any = xp.asarray(candidates, dtype=bool)
+        else:
+            self._candidates = candidates
         self.leader_id: Optional[int] = None
         for bit in range(id_bits(population.id_bound)):
-            self.push(
-                lambda bit=bit: self._probe_vector(bit),
-                self._harvest_probe,
-            )
-            self.push(
-                RESTORE, lambda obs, bit=bit: self._refine(bit)
+            self.push_stretch(
+                lambda bit=bit: Stretch.probe_restore(
+                    self._probe_vector(bit)
+                ),
+                lambda result, bit=bit: self._harvest(result, bit),
             )
 
-    def _probe_vector(self, bit: int):
+    def _zero_bit(self, bit: int) -> Any:
+        """Per slot: whether the ID's bit ``bit`` is 0."""
+        if self.xp is not None:
+            return ((self._ids >> bit) & 1) == 0
+        return [((x >> bit) & 1) == 0 for x in self.population.ids]
+
+    def _probe_vector(self, bit: int) -> Any:
         """Probe RI(X0), X0 = candidates whose ID bit ``bit`` is 0:
         members move common-RIGHT, everyone else common-LEFT."""
-        ids = self.population.ids
-        commons = [
-            RIGHT
-            if candidate and ((ids[i] >> bit) & 1) == 0
-            else LEFT
-            for i, candidate in enumerate(self._candidates)
-        ]
-        return aligned_vector(self._flips, commons)
+        zero = self._zero_bit(bit)
+        if self.xp is not None:
+            members = self._candidates & zero
+        else:
+            members = [c and z for c, z in zip(self._candidates, zero)]
+        return probe_row(self.xp, self._frame, members, LEFT)
 
-    def _harvest_probe(self, obs: Sequence[Observation]) -> None:
-        nonzeros = [o.dist != 0 for o in obs]
-        self.population.set_column(_KEY_SAW_NONZERO, nonzeros)
-        self._keep_zero_half = nonzeros[0]
-
-    def _refine(self, bit: int) -> None:
-        ids = self.population.ids
-        keep_zero = self._keep_zero_half
-        self._candidates = [
-            candidate
-            and (((ids[i] >> bit) & 1) == 0) == keep_zero
-            for i, candidate in enumerate(self._candidates)
-        ]
+    def _harvest(self, result: Any, bit: int) -> None:
+        """Post the probe's nonzero-dist column and keep the half of the
+        candidates the leader-to-be's observation selects."""
+        xp = self.xp
+        nonzeros = moved_column(result, xp)
+        keep_zero = bool(nonzeros[0])
+        self.population.set_column(
+            _KEY_SAW_NONZERO,
+            nonzeros.tolist() if xp is not None else nonzeros,
+        )
+        zero = self._zero_bit(bit)
+        if xp is not None:
+            self._candidates = self._candidates & (zero == keep_zero)
+        else:
+            self._candidates = [
+                candidate and z == keep_zero
+                for candidate, z in zip(self._candidates, zero)
+            ]
 
     def finalize(self) -> None:
-        self.population.set_column(KEY_LEADER, list(self._candidates))
+        candidates = self._candidates
+        self.population.set_column(
+            KEY_LEADER,
+            candidates.tolist() if self.xp is not None else candidates,
+        )
         self.leader_id = unique_leader_id(self.sched)
 
 

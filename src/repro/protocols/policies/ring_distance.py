@@ -30,7 +30,9 @@ from repro.protocols.policies.base import (
     Vector,
     aligned_vector,
     common_dists,
-    opposite_vector,
+    frame_signs,
+    moved_column,
+    probe_row,
     require_column,
     run_vector,
 )
@@ -40,6 +42,7 @@ from repro.protocols.ring_distance import (
     KEY_IS_LAST,
     _LEADER_MARKER_DISTANCE,
 )
+from repro.ring.stretch import Stretch
 from repro.types import Model
 
 
@@ -98,20 +101,19 @@ def _seed_labels_from_leader(sched: Scheduler) -> None:
 
 
 def _check_completeness(sched: Scheduler) -> bool:
-    """One probe + restore; True iff a_n (hence everyone) is labelled."""
+    """One probe + restore as a fused span; True iff a_n (hence
+    everyone) is labelled.  Only slot 0's "did I move?" bit is read,
+    off the probe's raw ``dist()`` row.  (The y/z phases read exact
+    ``Fraction`` dist/coll values and stay on :func:`run_vector`.)"""
     population = sched.population
     labels = population.column(KEY_LABEL)
     is_last = population.column(KEY_IS_LAST)
     flips = population.column(KEY_FRAME_FLIP)
-    commons = [
-        RIGHT if is_last[i] and labels[i] else LEFT
-        for i in range(population.n)
-    ]
-    vector = aligned_vector(flips, commons)
-    obs = run_vector(sched, vector)
-    done = obs[0].dist != 0
-    run_vector(sched, opposite_vector(vector))
-    return done
+    xp = sched.array_module
+    leads = [bool(last and label) for last, label in zip(is_last, labels)]
+    row = probe_row(xp, frame_signs(xp, flips), leads, LEFT)
+    result = sched.run_stretch(Stretch.probe_restore(row))
+    return bool(moved_column(result, xp)[0])
 
 
 def ring_distances(sched: Scheduler, on_iteration=None) -> None:

@@ -86,7 +86,11 @@ class RingState:
             raise ConfigurationError(
                 f"the paper assumes n > 4 agents; got n={n}"
             )
-        self._positions = [normalize(p) for p in positions]
+        # Only positions outside [0, 1) need the Fraction reduction.
+        self._positions = [
+            p if 0 <= p.numerator < p.denominator else normalize(p)
+            for p in positions
+        ]
         if not is_ring_ordered(self._positions):
             raise ConfigurationError(
                 "positions must be distinct and listed in clockwise ring order"

@@ -102,6 +102,82 @@ class TestGaps:
         assert sort_ring(p) == [1, 0, 2]
 
 
+def _ring_ordered_oracle(positions):
+    """The Fraction-arithmetic ring-order check the integer
+    :func:`is_ring_ordered` replaced, kept as its oracle."""
+    n = len(positions)
+    if n == 0:
+        return True
+    if len(set(normalize(p) for p in positions)) != n:
+        return False
+    total = sum(gaps(positions), F(0))
+    return total == 1 and all(g > 0 for g in gaps(positions))
+
+
+class TestIntegerRingOrder:
+    """The integer :func:`is_ring_ordered` against the Fraction oracle."""
+
+    CASES = {
+        "mixed_denominators": [F(1, 7), F(1, 3), F(5, 9), F(7, 8)],
+        "outside_unit_interval": [F(-3, 4), F(4, 3), F(-1, 8)],
+        "wraps_above_one": [F(7, 4), F(23, 8), F(1, 3) - 2],
+        "duplicate_after_normalisation": [F(1, 4), F(1, 2), F(5, 4)],
+        "adjacent_duplicate_after_normalisation": [F(1, 4), F(5, 4)],
+        "shuffled": [F(0), F(1, 2), F(1, 4), F(3, 4)],
+        "shuffled_mixed": [F(1, 3), F(1, 7), F(5, 9), F(7, 8)],
+        "two_laps": [F(0), F(1, 2), F(0), F(1, 2)],
+        "n1": [F(1, 3)],
+        "n2": [F(1, 3), F(5, 6)],
+        "n2_duplicate": [F(1, 3), F(4, 3)],
+        "empty": [],
+    }
+    EXPECTED = {
+        "mixed_denominators": True,
+        "outside_unit_interval": True,
+        "wraps_above_one": True,
+        "duplicate_after_normalisation": False,
+        "adjacent_duplicate_after_normalisation": False,
+        "shuffled": False,
+        "shuffled_mixed": False,
+        "two_laps": False,
+        "n1": False,
+        "n2": True,
+        "n2_duplicate": False,
+        "empty": True,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_fraction_oracle(self, case):
+        positions = self.CASES[case]
+        assert is_ring_ordered(positions) == self.EXPECTED[case]
+        assert _ring_ordered_oracle(positions) == self.EXPECTED[case]
+
+    @given(st.lists(frac(4), min_size=1, max_size=7))
+    def test_random_lists_match_oracle(self, positions):
+        assert is_ring_ordered(positions) == _ring_ordered_oracle(positions)
+
+    @given(
+        st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=60),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        ),
+        st.integers(min_value=0, max_value=7),
+        st.lists(st.integers(min_value=-2, max_value=2), min_size=8,
+                 max_size=8),
+    )
+    def test_rotated_shifted_rings_match_oracle(self, points, start, laps):
+        ring = sorted(p - (p // 1) for p in points)
+        start %= len(ring)
+        rotated = ring[start:] + ring[:start]
+        shifted = [p + k for p, k in zip(rotated, laps)]
+        # One agent never closes a positive full-turn gap.
+        expected = len(ring) > 1 and len(set(ring)) == len(ring)
+        assert is_ring_ordered(shifted) == expected
+        assert _ring_ordered_oracle(shifted) == expected
+
+
 class TestInterleaveSum:
     def test_window(self):
         vals = [F(1), F(2), F(3), F(4)]

@@ -19,8 +19,9 @@ from repro.api.session import RingSession
 from repro.core.population import MISSING, Population
 from repro.core.scheduler import Scheduler
 from repro.exceptions import InfeasibleProblemError, ProtocolError
+from repro.protocols.base import KEY_FRAME_FLIP
 from repro.ring.configs import random_configuration
-from repro.types import LocalDirection, Model
+from repro.types import Chirality, LocalDirection, Model
 
 
 def _fingerprint(session_or_sched):
@@ -41,16 +42,40 @@ def _session_pair(n, model, seed, backend, common_sense=False):
     return make("native"), make("callback")
 
 
-def _scheduler_pair(n, model, seed, backend, common_sense=False):
+def _scheduler_pair(n, model, seed, backend, common_sense=False, **options):
     make = lambda: Scheduler(  # noqa: E731
         random_configuration(n, seed=seed, common_sense=common_sense),
         model,
         backend=backend,
+        **options,
     )
     return make(), make()
 
 
+def _true_frame(sched):
+    """Give every agent the objective clockwise frame as its common
+    frame (what direction agreement establishes), so rings with mixed
+    chiralities exercise the frame flip of every probe row."""
+    sched.population.set_column(
+        KEY_FRAME_FLIP,
+        [c is Chirality.ANTICLOCKWISE for c in sched.state.chiralities],
+    )
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the ProtocolError it raised (as a comparable
+    string): faulted runs may legitimately lose consensus, and then
+    both drivers must fail the same way."""
+    try:
+        return fn(*args)
+    except ProtocolError as exc:
+        return f"ProtocolError: {exc}"
+
+
 BACKENDS = ["lattice", "fraction"]
+#: The scalar backends plus ``array``, where the probe/restore pairs of
+#: emptiness, broadcast and Algorithm 2 run as fused spans.
+ALL_BACKENDS = [*BACKENDS, "array"]
 
 
 class TestRegistryEquivalence:
@@ -176,22 +201,50 @@ class TestDriverUnits:
         )
         assert _fingerprint(a) == _fingerprint(b)
 
-    @pytest.mark.parametrize("model", list(Model))
-    def test_emptiness(self, model):
-        from repro.protocols import direction_agreement as da_legacy
+    @staticmethod
+    def _emptiness_agrees(a, b):
+        """Native and legacy emptiness tests over the same candidate
+        sets reach the same verdicts and leave identical state."""
         from repro.protocols import emptiness as legacy
         from repro.protocols.policies import emptiness as native
 
-        for n in (7, 8):
-            a, b = _scheduler_pair(n, model, 1, "lattice",
-                                   common_sense=True)
-            for sched in (a, b):
-                da_legacy.assume_common_frame(sched)
-            for candidates in (range(1, 5), range(50, 60)):
-                verdict_native = native.emptiness_test(a, candidates)
-                verdict_legacy = legacy.emptiness_test(b, candidates)
-                assert verdict_native == verdict_legacy
-            assert _fingerprint(a) == _fingerprint(b)
+        for sched in (a, b):
+            _true_frame(sched)
+        bound = a.population.id_bound
+        present = set(a.population.ids)
+        absent = [x for x in range(1, bound + 1) if x not in present]
+        for candidates in (
+            range(1, 5), range(50, 60), range(1, bound // 2),
+            range(1, bound + 1), absent[:5], absent,
+        ):
+            verdict_native = _outcome(native.emptiness_test, a, candidates)
+            verdict_legacy = _outcome(legacy.emptiness_test, b, candidates)
+            assert verdict_native == verdict_legacy
+        assert _fingerprint(a) == _fingerprint(b)
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("n", [7, 8, 17, 18])
+    @pytest.mark.parametrize("model", list(Model))
+    def test_emptiness(self, model, n, backend):
+        self._emptiness_agrees(
+            *_scheduler_pair(n, model, 1, backend)
+        )
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_emptiness_under_fault_plan(self, model):
+        from repro.faults.plan import FaultPlan
+
+        plan = FaultPlan(delays=((1, 1),), byzantine=((4, 3, "flip"),))
+        self._emptiness_agrees(
+            *_scheduler_pair(18, model, 1, "array", faults=plan)
+        )
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_emptiness_cross_validated(self, model):
+        # Cross-validation unrolls the fused spans round by round.
+        self._emptiness_agrees(
+            *_scheduler_pair(18, model, 1, "array", cross_validate=True)
+        )
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rotation_probe_classify(self, backend):
@@ -212,25 +265,44 @@ class TestDriverUnits:
         )
         assert _fingerprint(a) == _fingerprint(b)
 
-    def test_broadcast(self):
-        from repro.protocols import direction_agreement as da_legacy
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("n", [8, 17, 18])
+    @pytest.mark.parametrize("model", list(Model))
+    def test_broadcast(self, model, n, backend):
         from repro.protocols import global_broadcast as legacy
         from repro.protocols.policies import global_broadcast as native
 
-        a, b = _scheduler_pair(8, Model.LAZY, 9, "lattice",
-                               common_sense=True)
+        a, b = _scheduler_pair(n, model, 9, backend)
         for sched in (a, b):
-            da_legacy.assume_common_frame(sched)
+            _true_frame(sched)
         announcer = a.population.ids[2]
-        native.broadcast_value(
+        value = 17 + n
+        assert native.broadcast_value(
             a,
             announcers=[i == 2 for i in range(a.population.n)],
-            values=[17 if i == 2 else None for i in range(a.population.n)],
-        )
-        legacy.broadcast_value(
+            values=[value if i == 2 else None for i in range(a.population.n)],
+        ) == legacy.broadcast_value(
             b,
             is_announcer=lambda view: view.agent_id == announcer,
-            value_of=lambda view: 17,
+            value_of=lambda view: value,
+        )
+        assert _fingerprint(a) == _fingerprint(b)
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("n", [16, 18])
+    @pytest.mark.parametrize("model", list(Model))
+    def test_algorithm2_large_ring(self, model, n, backend):
+        from repro.protocols import direction_agreement as da_legacy
+        from repro.protocols import leader_election as legacy
+        from repro.protocols import nontrivial_move as nm_legacy
+        from repro.protocols.policies import leader_election as native
+
+        a, b = _scheduler_pair(n, model, 13, backend)
+        for sched in (a, b):
+            nm_legacy.nmove_seeded_family(sched)
+            da_legacy.agree_direction_from_nontrivial_move(sched)
+        assert native.elect_leader_with_nontrivial_move(a) == (
+            legacy.elect_leader_with_nontrivial_move(b)
         )
         assert _fingerprint(a) == _fingerprint(b)
 
@@ -256,6 +328,77 @@ class TestDriverUnits:
         stats_legacy = legacy.nmove_perceptive(b)
         assert stats_native == stats_legacy
         assert _fingerprint(a) == _fingerprint(b)
+
+
+class TestUncheckedRoundCounts:
+    """``unchecked=True`` skips only the restores of ``push_restore``
+    spans: the probe/restore pairs of emptiness, broadcast and
+    Algorithm 2 still simulate both rounds, so their round counts (and
+    results) match the checked run."""
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_emptiness_and_broadcast(self, model):
+        from repro.protocols import direction_agreement as da_legacy
+        from repro.protocols.policies import emptiness, global_broadcast
+
+        counts = []
+        for unchecked in (False, True):
+            sched = Scheduler(
+                random_configuration(18, seed=4, common_sense=True),
+                model, unchecked=unchecked,
+            )
+            assert sched.unchecked is unchecked
+            da_legacy.assume_common_frame(sched)
+            verdicts = [
+                emptiness.emptiness_test(sched, range(1, bound))
+                for bound in (5, 30, 80)
+            ]
+            value = global_broadcast.broadcast_value(
+                sched,
+                announcers=[i == 0 for i in range(18)],
+                values=[9] * 18,
+            )
+            counts.append((sched.rounds, verdicts, value))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("common_sense", [False, True])
+    @pytest.mark.parametrize("model", list(Model))
+    def test_leader_election_phase(self, model, common_sense):
+        phases = []
+        for unchecked in (False, True):
+            session = RingSession(
+                n=18, model=model, seed=6, common_sense=common_sense,
+                unchecked=unchecked,
+            )
+            result = session.run("coordination")
+            phases.append(
+                (result.rounds_by_phase["leader_election"], result.leader_id)
+            )
+        assert phases[0] == phases[1]
+
+
+class TestFusedCoordination:
+    """Default large-ring coordination runs every round as a fused span:
+    a reintroduced scalar ``run_vector`` loop fails here instead of
+    silently costing a multiple of the runtime."""
+
+    @pytest.mark.parametrize("common_sense", [False, True])
+    @pytest.mark.parametrize("model", list(Model))
+    def test_no_scalar_rounds(self, monkeypatch, model, common_sense):
+        from repro.ring.simulator import RingSimulator
+
+        calls = []
+        original = RingSimulator.execute
+
+        def counting(self, directions):
+            calls.append(len(directions))
+            return original(self, directions)
+
+        monkeypatch.setattr(RingSimulator, "execute", counting)
+        session = RingSession(n=64, model=model, common_sense=common_sense)
+        result = session.run("coordination")
+        assert result.rounds > 0
+        assert calls == []
 
 
 class TestNoPerAgentDispatch:

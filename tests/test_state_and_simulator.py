@@ -58,6 +58,26 @@ class TestRingStateValidation:
                 id_bound=10,
             )
 
+    def test_normalises_positions_outside_unit_interval(self):
+        raw = [F(1), F(-3, 4), F(3, 8), F(5, 2), F(-1, 8)]
+        state = RingState(
+            positions=raw,
+            ids=[1, 2, 3, 4, 5],
+            chiralities=[Chirality.CLOCKWISE] * 5,
+            id_bound=10,
+        )
+        assert state.positions == [F(0), F(1, 4), F(3, 8), F(1, 2), F(7, 8)]
+        assert state.initial_positions == tuple(state.positions)
+
+    def test_rejects_duplicates_after_normalisation(self):
+        with pytest.raises(ConfigurationError):
+            RingState(
+                positions=[F(1, 4), F(1, 2), F(5, 4), F(3, 4), F(7, 8)],
+                ids=[1, 2, 3, 4, 5],
+                chiralities=[Chirality.CLOCKWISE] * 5,
+                id_bound=10,
+            )
+
     def test_rejects_id_above_bound(self):
         with pytest.raises(ConfigurationError):
             RingState(
