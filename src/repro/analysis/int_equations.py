@@ -6,14 +6,22 @@ shared denominator ``D`` (``dist`` over ``D``, ``coll`` over ``2 D`` --
 the same ``Z/(2D)`` grid the kinematics run on).  The exact-`Fraction`
 :class:`~repro.analysis.equations.EquationSystem` therefore spends its
 whole life normalising rationals whose denominators all divide ``D``.
-:class:`IntEquationSystem` is its fraction-free twin: rows are integer
-coefficient vectors, right-hand sides are integer numerators over the
-system's single ``den``, and elimination is Bareiss-style -- each
-combination step is the integer cross-multiplication
-``(p // g) * row - (c // g) * brow`` followed by content (gcd) removal,
-so no rational arithmetic ever runs.  Only :meth:`IntEquationSystem.
-solve` materialises Fractions, one constructor call per unknown, by
-exact integer back-substitution.
+:class:`IntEquationSystem` is its fraction-free twin: rows are sparse
+integer coefficient maps (``{column: coefficient}``, nonzeros only),
+right-hand sides are integer numerators over the system's single
+``den``, and elimination is Bareiss-style -- each combination step is
+the integer cross-multiplication ``(p // g) * row - (c // g) * brow``
+over the live support, followed by content (gcd) removal when a row is
+filed, so no rational arithmetic ever runs.  Only
+:meth:`IntEquationSystem.solve` materialises Fractions, one
+constructor call per unknown (fewer with a shared ``cache``), by exact
+integer back-substitution.
+
+Rows are plain Python ints, exact at any magnitude, so the engine needs
+no numpy and no overflow guard: Algorithm 6's equations are short
+cyclic windows (one to three cells in the Convolution rounds, n/2 in
+the Pivots), and walking their support beats scanning dense length-n
+vectors.
 
 The Fraction classes stay untouched as the executable spec; the
 equivalence is load-bearing and pinned three ways:
@@ -22,76 +30,78 @@ equivalence is load-bearing and pinned three ways:
   ``solve`` on a live :class:`~repro.analysis.equations.EquationSystem`
   and asserts identical rank trajectory, identical
   :class:`~repro.exceptions.SingularSystemError` behaviour and
-  identical solutions (``discover_distances(..., engine="cross")``
-  turns this on for the native Distances driver);
+  identical solutions (``discover_distances(..., engine="cross")`` and
+  cross-validated simulators turn this on for the native Distances
+  driver);
 * ``tests/test_int_equations.py`` property-tests the agreement on
   random window systems;
 * ``benchmarks/bench_equations.py`` enforces bit-exact protocol output
   against the spec engine before timing anything.
-
-Rows follow the ``array`` backend's optional-numpy contract: int64
-vectors when :func:`~repro.ring.arrayops.get_numpy` finds numpy (with
-an overflow guard that falls back before a combination could exceed
-int64), plain Python-int lists otherwise -- the list path is exact at
-arbitrary precision, so the guard can always retreat to it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import chain
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.equations import Equation, EquationSystem
 from repro.exceptions import SingularSystemError
-from repro.ring.arrayops import get_numpy
-
-#: A combination ``mp * row - mc * brow`` is safe on the int64 path as
-#: long as ``|mp| * max|row| + |mc| * max|brow|`` stays below this; one
-#: bit of headroom under 2^63 absorbs the sign.
-_INT64_GUARD = 1 << 62
 
 
 class IntEquation:
-    """One constraint ``sum_i coeffs[i] * x_i = value / den`` where
+    """One constraint ``sum_c support[c] * x_c = value / den`` where
     ``den`` is the owning system's shared denominator.
 
-    ``coeffs`` is a sequence of plain ints (or an int64 numpy row);
+    ``coeffs`` is the dense coefficient sequence or its nonzero support
+    as a ``{column: coefficient}`` dict (kept as given, never mutated);
     ``value`` is the right-hand side's integer *numerator*.  Nothing
     here ever materialises a Fraction.
     """
 
-    __slots__ = ("coeffs", "value")
+    __slots__ = ("support", "value")
 
-    def __init__(self, coeffs, value: int) -> None:
-        self.coeffs = coeffs
+    def __init__(
+        self, coeffs: Union[Mapping[int, int], Sequence[int]], value: int
+    ) -> None:
+        if not isinstance(coeffs, dict):
+            coeffs = {col: int(c) for col, c in enumerate(coeffs) if c}
+        elif 0 in coeffs.values():
+            coeffs = {col: c for col, c in coeffs.items() if c}
+        self.support: Dict[int, int] = coeffs
         self.value = value
 
     @staticmethod
     def window(
-        n: int, start: int, count: int, value: int, scale: int = 1, xp=None
+        n: int, start: int, count: int, value: int, scale: int = 1
     ) -> "IntEquation":
         """Integer twin of :meth:`Equation.window`: the constraint
         ``scale * (x_start + ... + x_{start+count-1}) = value / den``
-        with cyclic indices.  With ``xp`` the coefficient row is built
-        as an int64 vector by (at most two) slice adds."""
+        with cyclic indices, built straight as its support."""
+        if not scale:
+            return IntEquation({}, value)
         start %= n
         whole, rem = divmod(count, n)
-        if xp is not None:
-            coeffs = xp.zeros(n, dtype=xp.int64)
-            if whole:
-                coeffs += scale * whole
-            end = start + rem
-            if end <= n:
-                coeffs[start:end] += scale
-            else:
-                coeffs[start:] += scale
-                coeffs[: end - n] += scale
-            return IntEquation(coeffs, value)
-        coeffs = [scale * whole] * n
-        for k in range(rem):
-            coeffs[(start + k) % n] += scale
-        return IntEquation(coeffs, value)
+        end = start + rem
+        cells = (
+            range(start, end)
+            if end <= n
+            else chain(range(start, n), range(end - n))
+        )
+        if not whole:
+            return IntEquation(dict.fromkeys(cells, scale), value)
+        support = dict.fromkeys(range(n), scale * whole)
+        for col in cells:
+            support[col] += scale
+        return IntEquation(support, value)
+
+
+#: A filed basis row: (positive pivot, the other nonzeros as
+#: ``(column, coefficient)`` pairs, all right of the pivot, value
+#: numerator).
+_BasisRow = Tuple[int, Tuple[Tuple[int, int], ...], int]
 
 
 class IntEquationSystem:
@@ -113,9 +123,7 @@ class IntEquationSystem:
             raise ValueError("den must be a positive integer")
         self.n = n
         self.den = den
-        self._np = get_numpy()
-        # pivot column -> (row, value numerator, max |coefficient|)
-        self._basis: Dict[int, Tuple[object, int, int]] = {}
+        self._basis: Dict[int, _BasisRow] = {}
         self._shadow: Optional[EquationSystem] = (
             EquationSystem(n) if cross_check else None
         )
@@ -131,13 +139,10 @@ class IntEquationSystem:
         return self.rank == self.n
 
     def _spec_equation(self, eq: IntEquation) -> Equation:
-        coeffs = eq.coeffs
-        if not isinstance(coeffs, (list, tuple)):
-            coeffs = coeffs.tolist()
-        return Equation(
-            tuple(Fraction(int(c)) for c in coeffs),
-            Fraction(int(eq.value), self.den),
-        )
+        coeffs = [Fraction(0)] * self.n
+        for col, coeff in eq.support.items():
+            coeffs[col] = Fraction(coeff)
+        return Equation(tuple(coeffs), Fraction(int(eq.value), self.den))
 
     # -- elimination ------------------------------------------------------
 
@@ -176,138 +181,91 @@ class IntEquationSystem:
         return grew
 
     def _add(self, eq: IntEquation) -> bool:
+        """Reduce the working row against the basis in ascending pivot
+        order, walking only its live support (a min-heap of columns,
+        as in the spec: a basis row filed at ``col`` has nonzeros only
+        right of ``col``, so combinations only add support ahead of the
+        cursor)."""
+        row = dict(eq.support)
         value = int(eq.value)
-        xp = self._np
-        if xp is not None:
-            try:
-                row = xp.array(eq.coeffs, dtype=xp.int64)
-            except OverflowError:
-                row = None
-            if row is not None:
-                return self._add_np(row, value)
-        coeffs = eq.coeffs
-        if not isinstance(coeffs, list):
-            coeffs = (
-                list(coeffs)
-                if isinstance(coeffs, tuple)
-                else [int(c) for c in coeffs]
-            )
-        else:
-            coeffs = list(coeffs)
-        return self._add_py(coeffs, value)
-
-    def _add_np(self, row, value: int) -> bool:
-        """int64 elimination; retreats to :meth:`_add_py` before any
-        combination could overflow (or when a basis row already lives
-        on the unbounded list representation)."""
-        xp = self._np
-        rmax = int(xp.abs(row).max()) if row.size else 0
-        while True:
-            nonzero = xp.flatnonzero(row)
-            if nonzero.size == 0:
-                break
-            col = int(nonzero[0])
-            entry = self._basis.get(col)
-            if entry is None:
-                self._store(col, row, value)
-                return True
-            brow, bval, bmax = entry
-            if isinstance(brow, list):
-                return self._add_py(row.tolist(), value, from_col=col)
-            pivot = int(brow[col])
-            coeff = int(row[col])
-            shrink = gcd(pivot, coeff)
-            mult_row = pivot // shrink
-            mult_basis = coeff // shrink
-            grown = abs(mult_row) * rmax + abs(mult_basis) * bmax
-            if grown >= _INT64_GUARD:
-                # The running bound is pessimistic; retry it exactly,
-                # then give the arbitrary-precision path the row.
-                rmax = int(xp.abs(row).max())
-                grown = abs(mult_row) * rmax + abs(mult_basis) * bmax
-                if grown >= _INT64_GUARD:
-                    return self._add_py(row.tolist(), value, from_col=col)
-            row = mult_row * row - mult_basis * brow
-            value = mult_row * value - mult_basis * bval
-            rmax = grown
-        if value != 0:
-            raise SingularSystemError("observation contradicts earlier ones")
-        return False
-
-    def _add_py(self, row: List[int], value: int, from_col: int = 0) -> bool:
-        """Arbitrary-precision (Python int) elimination."""
         basis = self._basis
-        for col in range(from_col, self.n):
-            coeff = row[col]
-            if coeff == 0:
-                continue
+        support = sorted(row)
+        while support:
+            col = heappop(support)
+            coeff = row.get(col)
+            if coeff is None:
+                continue  # cancelled since it was pushed
             entry = basis.get(col)
             if entry is None:
                 self._store(col, row, value)
                 return True
-            brow, bval, _bmax = entry
-            if not isinstance(brow, list):
-                brow = brow.tolist()
-            pivot = brow[col]
-            shrink = gcd(pivot, coeff)
-            mult_row = pivot // shrink
-            mult_basis = coeff // shrink
-            row = [
-                mult_row * a - mult_basis * b for a, b in zip(row, brow)
-            ]
-            value = mult_row * value - mult_basis * bval
+            pivot, tail, bval = entry
+            del row[col]
+            if pivot != 1:
+                shrink = gcd(pivot, coeff)
+                mult_row = pivot // shrink
+                coeff //= shrink
+                if mult_row != 1:
+                    for c in row:
+                        row[c] *= mult_row
+                    value *= mult_row
+            for c, b in tail:
+                before = row.get(c)
+                if before is None:
+                    row[c] = -coeff * b
+                    heappush(support, c)
+                else:
+                    after = before - coeff * b
+                    if after:
+                        row[c] = after
+                    else:
+                        del row[c]
+            value -= coeff * bval
         if value != 0:
             raise SingularSystemError("observation contradicts earlier ones")
         return False
 
-    def _store(self, col: int, row, value: int) -> None:
-        """File ``row`` as the pivot for ``col``: content removed,
-        pivot made positive, max |coefficient| cached for the int64
-        overflow guard."""
-        xp = self._np
-        if isinstance(row, list):
-            content = 0
-            for coeff in row:
-                content = gcd(content, coeff)
-                if content == 1:
-                    break
-            content = gcd(content, value)
-            if content > 1:
-                row = [coeff // content for coeff in row]
-                value //= content
-            if row[col] < 0:
-                row = [-coeff for coeff in row]
-                value = -value
-            bmax = max(abs(coeff) for coeff in row)
+    def _store(self, col: int, row: Dict[int, int], value: int) -> None:
+        """File ``row`` (every nonzero at or right of ``col``) as the
+        pivot for ``col``: content removed, pivot made positive."""
+        content = gcd(value, *row.values())
+        pivot = row.pop(col)
+        if pivot < 0:
+            content = -content
+        if content != 1:
+            pivot //= content
+            value //= content
+            tail = tuple((c, a // content) for c, a in row.items())
         else:
-            magnitudes = xp.abs(row)
-            content = gcd(int(xp.gcd.reduce(magnitudes)), value)
-            if content > 1:
-                row = row // content
-                value //= content
-                magnitudes = xp.abs(row)
-            if int(row[col]) < 0:
-                row = -row
-                value = -value
-            bmax = int(magnitudes.max())
-        self._basis[col] = (row, value, bmax)
+            tail = tuple(row.items())
+        self._basis[col] = (pivot, tail, value)
 
     # -- solving ----------------------------------------------------------
 
-    def solve(self) -> List[Fraction]:
+    def solve(self, cache: Optional[dict] = None) -> List[Fraction]:
         """Back-substitute into the exact solution vector.
 
         Integer-only: per unknown one running numerator/denominator
         pair is folded over the basis row's nonzeros with gcd
         reduction, and the result materialises as a single ``Fraction``
-        constructor call -- no Fraction arithmetic anywhere.
+        constructor call -- no Fraction arithmetic anywhere.  Callers
+        solving many systems with the same unknowns (one per ring slot)
+        pass one shared ``cache``: values are interned by their reduced
+        numerator/denominator pair, so each distinct value is
+        constructed once across all of them.
         """
         if not self.full_rank:
             raise SingularSystemError(
                 f"rank {self.rank} < {self.n}: not enough observations"
             )
-        solution = self._solve_ints()
-        result = [Fraction(num, den) for num, den in solution]
+        if cache is None:
+            cache = {}
+        result: List[Fraction] = []
+        for key in self._solve_ints():
+            value = cache.get(key)
+            if value is None:
+                value = cache[key] = Fraction(*key)
+            result.append(value)
         if self._shadow is not None:
             expected = self._shadow.solve()
             if result != expected:
@@ -317,28 +275,14 @@ class IntEquationSystem:
         return result
 
     def _solve_ints(self) -> List[Tuple[int, int]]:
-        xp = self._np
-        pairs: List[Optional[Tuple[int, int]]] = [None] * self.n
-        for col in sorted(self._basis.keys(), reverse=True):
-            row, value, _bmax = self._basis[col]
-            if isinstance(row, list):
-                beyond = [
-                    (c, row[c])
-                    for c in range(col + 1, self.n)
-                    if row[c] != 0
-                ]
-                pivot = row[col]
-            else:
-                beyond = [
-                    (c, int(row[c]))
-                    for c in xp.flatnonzero(row).tolist()
-                    if c != col
-                ]
-                pivot = int(row[col])
+        """Each unknown as a reduced ``(numerator, denominator > 0)``."""
+        pairs: List[Tuple[int, int]] = [(0, 1)] * self.n
+        for col in sorted(self._basis, reverse=True):
+            pivot, tail, value = self._basis[col]
             # acc = value/den - sum coeff * x_c, folded as one exact
             # integer numerator/denominator pair.
             acc_num, acc_den = value, self.den
-            for c, coeff in beyond:
+            for c, coeff in tail:
                 num_c, den_c = pairs[c]
                 acc_num = acc_num * den_c - coeff * num_c * acc_den
                 acc_den = acc_den * den_c
@@ -346,8 +290,13 @@ class IntEquationSystem:
                 if shrink > 1:
                     acc_num //= shrink
                     acc_den //= shrink
-            pairs[col] = (acc_num, acc_den * pivot)
-        return [pair if pair is not None else (0, 1) for pair in pairs]
+            acc_den *= pivot
+            shrink = gcd(acc_num, acc_den)
+            if shrink > 1:
+                acc_num //= shrink
+                acc_den //= shrink
+            pairs[col] = (acc_num, acc_den)
+        return pairs
 
     def solve_if_ready(self) -> Optional[List[Fraction]]:
         """The solution if the system already has full rank, else None."""

@@ -9,13 +9,15 @@ rank -- which Lemma 41 guarantees on the last Pivot round.  The whole
 n/2 + 3 round schedule is therefore planned as one
 :class:`~repro.ring.stretch.SpeculativeStretch`: the stop predicate
 harvests round ``j``'s observation columns into the equation systems
-and fires once all of them are full rank.  On a stretch-capable backend
-the raw integer dist/coll columns feed straight into
-:class:`~repro.analysis.int_equations.IntEquationSystem` rows over the
-shared denominator -- no ``Fraction(v, scale)`` per cell, and the
-elimination itself is fraction-free (the solutions still materialise
-as exact Fractions, identical to the spec engine's); on scalar
-backends the predicate interleaves with per-round execution on the
+and fires once all of them are full rank.  Whenever the backend keeps
+a shared denominator (``lattice`` and ``array``), the observations
+feed :class:`~repro.analysis.int_equations.IntEquationSystem` rows as
+integer numerators over it -- read straight off a fused span's raw
+dist/coll columns, or recovered exactly from a materialised round's
+interned Fractions (scalar rounds, fault plans, cross-validation) --
+so the elimination is fraction-free and every agent's solution is
+interned through one shared cache (they all recover rotations of the
+same n gaps).  On the ``fraction`` backend the predicate feeds the
 exact-`Fraction` :class:`~repro.analysis.equations.EquationSystem`,
 reproducing the legacy loop bit for bit.  Either way the firing round
 is the schedule's planned end, so the native driver stays bit-exact
@@ -123,53 +125,55 @@ def _round_columns(result, j: int, flips, cache: Dict[int, Fraction]):
     return dists, colls2
 
 
-def _int_round_columns(result, j: int, flips, flip_mask):
+def _int_round_columns(result, j: int, flips, scale: int):
     """Round ``j``'s common-frame dist numerators (over ``scale``) and
     doubled-coll numerators (over ``scale``; negative = no collision)
     as plain ints -- the :class:`IntEquationSystem` right-hand sides.
 
-    The integer-column read is the hot path (one vectorised ``where``
-    under numpy); a materialised round inside an integer-mode run is
-    recovered from the interned Fractions' numerator/denominator
-    attributes -- integer arithmetic only, exact because every
-    observation's denominator divides the shared ``scale``.
+    ``scale`` is the backend's shared denominator.  A fused span's raw
+    integer columns are read directly; a materialised round (scalar
+    backends, fault plans, cross-validation) is recovered from its
+    interned Fractions' numerator/denominator attributes -- integer
+    arithmetic only, exact because every observation lies on the
+    ``Z/(2 scale)`` grid (:func:`_grid_numerator` raises otherwise).
     """
-    scale = result.scale
     ints = result.dist_ints(j)
     if ints is not None:
-        xp = result.np
-        if xp is not None:
-            dists = xp.where(
-                flip_mask & (ints != 0), scale - ints, ints
-            ).tolist()
-        else:
-            dists = [
-                scale - v if flip and v else v
-                for flip, v in zip(flips, ints)
-            ]
+        if result.np is not None:
+            ints = ints.tolist()
+        dists = [
+            scale - v if flip and v else v for flip, v in zip(flips, ints)
+        ]
         craw = result.coll_ints(j)
-        if craw is None:
-            colls2 = None
-        else:
-            colls2 = craw.tolist() if xp is not None else list(craw)
-        return dists, colls2
+        if craw is not None and result.np is not None:
+            craw = craw.tolist()
+        return dists, craw
     obs = result.observations(j)
     dists = []
     for flip, o in zip(flips, obs):
-        d = o.dist
-        v = d.numerator * (scale // d.denominator)
+        v = _grid_numerator(o.dist, scale)
         if flip and v:
             v = scale - v
         dists.append(v)
     # coll is over 2 * scale, so 2 * coll's numerator over scale is
-    # coll's numerator rescaled to the doubled grid.
+    # coll's numerator on the doubled grid.
+    doubled = 2 * scale
     colls2 = [
-        -1
-        if o.coll is None
-        else o.coll.numerator * ((2 * scale) // o.coll.denominator)
+        -1 if o.coll is None else _grid_numerator(o.coll, doubled)
         for o in obs
     ]
     return dists, colls2
+
+
+def _grid_numerator(value: Fraction, grid: int) -> int:
+    """``value``'s numerator over ``grid``; raises if ``value`` is off
+    the grid, so a recovery can never round silently."""
+    step, rem = divmod(grid, value.denominator)
+    if rem:
+        raise ProtocolError(
+            f"observation {value} is not on the 1/{grid} grid"
+        )
+    return value.numerator * step
 
 
 def discover_distances(
@@ -180,11 +184,12 @@ def discover_distances(
 
     ``engine`` picks the equation backend: ``None``/``"int"`` harvest
     into the fraction-free :class:`IntEquationSystem` whenever the
-    stretch outcome carries integer columns (falling back to the spec
-    engine on scale-less materialised runs); ``"cross"`` does the same
-    but shadows every system on a live :class:`EquationSystem` and
-    asserts lockstep agreement; ``"fraction"`` forces the
-    exact-`Fraction` spec everywhere.
+    backend keeps a shared denominator (``lattice`` and ``array``,
+    fused or scalar, under fault plans too), falling back to the spec
+    engine on the ``fraction`` backend; ``"cross"`` does the same but
+    shadows every system on a live :class:`EquationSystem` and asserts
+    lockstep agreement (a cross-validated simulator turns this on
+    too); ``"fraction"`` forces the exact-`Fraction` spec everywhere.
     """
     if engine not in (None, "int", "cross", "fraction"):
         raise ProtocolError(f"unknown equation engine {engine!r}")
@@ -225,31 +230,25 @@ def discover_distances(
         getattr(sched.simulator, "cross_validate", False)
     )
     systems: List[object] = []
-    mode: Dict[str, object] = {"ints": None, "mask": None}
+    mode: Dict[str, object] = {"scale": None}
 
     def stop(result, j: int) -> bool:
         """Harvest round ``j``'s equations; fire at full rank."""
-        use_ints = mode["ints"]
-        if use_ints is None:
-            # First harvested round decides the engine: the stretch
-            # outcome either carries the shared denominator (integer
-            # columns -> fraction-free engine) or it does not (scalar
-            # materialised rounds -> the Fraction spec, as before).
-            use_ints = (
-                engine != "fraction" and result.scale is not None
+        if not systems:
+            # First harvested round decides the engine: a backend with
+            # a shared denominator (synced by now) feeds the
+            # fraction-free engine, the fraction backend the spec.
+            scale = (
+                None
+                if engine == "fraction"
+                else getattr(sched.simulator.backend, "scale", None)
             )
-            mode["ints"] = use_ints
-            if use_ints:
-                scale = result.scale
+            mode["scale"] = scale
+            if scale is not None:
                 systems.extend(  # lint: allow[per-agent-loop] -- one-time O(N) system construction on the first harvested round, not per-round work
                     IntEquationSystem(n, scale, cross_check=cross_check)
                     for _ in range(population.n)
                 )
-                if result.np is not None:
-                    mask = result.np.asarray(
-                        [bool(f) for f in flips]
-                    )
-                    mode["mask"] = mask
             else:
                 systems.extend(  # lint: allow[per-agent-loop] -- one-time O(N) system construction on the first harvested round, not per-round work
                     EquationSystem(n) for _ in range(population.n)
@@ -257,19 +256,16 @@ def discover_distances(
         _moves_right, rho, rotation = schedule[j]
         round_windows = windows[j]
         done = True
-        if use_ints:
-            xp = result.np
-            dists, colls2 = _int_round_columns(
-                result, j, flips, mode["mask"]
-            )
+        scale = mode["scale"]
+        if scale is not None:
+            dists, colls2 = _int_round_columns(result, j, flips, scale)
             for slot in range(population.n):  # lint: allow[per-agent-loop] -- per-slot rank bookkeeping over already-columnar integer rows; each iteration is O(1) equation appends
                 label0 = labels[slot] - 1
                 system = systems[slot]
                 if rotation % n != 0:
                     system.add(
                         IntEquation.window(
-                            n, (label0 + rho) % n, rotation,
-                            dists[slot], xp=xp,
+                            n, (label0 + rho) % n, rotation, dists[slot]
                         )
                     )
                 window = round_windows[slot]
@@ -280,9 +276,7 @@ def discover_distances(
                 ):
                     start, hops = window
                     system.add(
-                        IntEquation.window(
-                            n, start, hops, colls2[slot], xp=xp
-                        )
+                        IntEquation.window(n, start, hops, colls2[slot])
                     )
                 if done and not system.full_rank:
                     done = False
@@ -315,6 +309,7 @@ def discover_distances(
     if not systems:
         raise ProtocolError("the Convolution/Pivot schedule ran no rounds")
     gaps_column: List[List[Fraction]] = []
+    solved: Dict[object, Fraction] = {}
     for slot, system in enumerate(systems):
         if not system.full_rank:
             raise ProtocolError(
@@ -322,7 +317,9 @@ def discover_distances(
                 f"{system.rank} < {n}; the Convolution/Pivot schedule "
                 "should reach full rank"
             )
-        x = system.solve()
+        x = (
+            system.solve() if mode["scale"] is None else system.solve(solved)
+        )
         label0 = labels[slot] - 1
         gaps_column.append([x[(label0 + k) % n] for k in range(n)])
     population.set_column(KEY_LD_GAPS, gaps_column)

@@ -113,7 +113,9 @@ class TestMakeBackend:
 
     def test_small_default_sessions_never_import_numpy(self, run_python):
         # Keeps small-ring processes (CLI demos, fleet workers on tiny
-        # specs) free of numpy's one-time import cost.
+        # specs) free of numpy's one-time import cost -- perceptive
+        # location discovery included, whose int equation engine runs
+        # on the scalar path too.
         proc = run_python(
             "import sys\n"
             "from repro import RingSession\n"
@@ -121,6 +123,9 @@ class TestMakeBackend:
             "    RingSession(n=n, model='lazy', seed=3)"
             ".run('location-discovery')\n"
             "    RingSession(n=n, seed=3).run('coordination')\n"
+            "for n in (8, 10):\n"
+            "    RingSession(n=n, model='perceptive', seed=3)"
+            ".run('location-discovery')\n"
             "print('numpy' in sys.modules)\n"
         )
         assert proc.returncode == 0, proc.stderr

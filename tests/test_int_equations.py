@@ -46,22 +46,48 @@ def _spec_window(n, start, count, num):
     return Equation.window(n, start, count, F(1), F(num, DEN))
 
 
+def _spec_support(spec):
+    """The spec equation's nonzero coefficients as ``{column: int}``."""
+    support = {}
+    for col, coeff in enumerate(spec.coeffs):
+        if coeff:
+            assert coeff.denominator == 1
+            support[col] = coeff.numerator
+    return support
+
+
 class TestIntEquationWindow:
     def test_matches_spec_window_and_stays_integer(self):
         for n, start, count in [(4, 3, 2), (5, 0, 5), (6, 4, 9), (3, 2, 1)]:
             eq = IntEquation.window(n, start, count, value=7)
             spec = Equation.window(n, start, count, F(1), F(7, DEN))
-            assert [F(c) for c in eq.coeffs] == list(spec.coeffs)
-            assert all(type(c) is int for c in eq.coeffs)
+            assert eq.support == _spec_support(spec)
+            assert all(type(c) is int for c in eq.support.values())
             assert type(eq.value) is int
+        scaled = IntEquation.window(5, 4, 7, value=1, scale=3)
+        spec = Equation.window(5, 4, 7, F(3), F(1, DEN))
+        assert scaled.support == _spec_support(spec)
+        assert IntEquation.window(5, 2, 3, value=0, scale=0).support == {}
 
     def test_numpy_row_matches_list_row(self):
+        """A dense row given as a list or as an int64 vector becomes the
+        same plain-int support as the window builder's."""
         np = pytest.importorskip("numpy")
         for n, start, count in [(5, 3, 4), (6, 5, 14), (4, 1, 4)]:
-            plain = IntEquation.window(n, start, count, value=3)
-            vec = IntEquation.window(n, start, count, value=3, xp=np)
-            assert vec.coeffs.dtype == np.int64
-            assert vec.coeffs.tolist() == plain.coeffs
+            window = IntEquation.window(n, start, count, value=3)
+            spec = Equation.window(n, start, count, F(1), F(3, DEN))
+            dense = [int(c) for c in spec.coeffs]
+            plain = IntEquation(dense, 3)
+            vec = IntEquation(np.array(dense, dtype=np.int64), 3)
+            assert plain.support == vec.support == window.support
+            assert window.support == _spec_support(spec)
+            assert all(type(c) is int for c in vec.support.values())
+
+    def test_zero_entries_never_enter_the_support(self):
+        assert IntEquation([0, 2, 0, -1], 5).support == {1: 2, 3: -1}
+        given = {0: 1, 2: 0}
+        assert IntEquation(given, 5).support == {0: 1}
+        assert given == {0: 1, 2: 0}  # the caller's dict is not touched
 
 
 class TestIntEquationSystemEquivalence:
@@ -157,9 +183,8 @@ class TestIntEquationSystemOverflow:
         assert int_sys.solve() == spec.solve()
 
     def test_growth_under_elimination_retreats_before_int64_overflow(self):
-        """Rows that start inside int64 but whose combination would
-        overflow must be handed to the Python-int path mid-stream, with
-        results unchanged."""
+        """Rows that start inside int64 but whose combination grows far
+        past it must still eliminate exactly, with results unchanged."""
         n = 3
         p = (1 << 35) + 3
         q = (1 << 35) + 7  # coprime to p, so no content to strip
@@ -176,19 +201,13 @@ class TestIntEquationSystemOverflow:
         int_sys = IntEquationSystem(n, DEN)
         spec = EquationSystem(n)
         # Eliminating the second row against the first cross-multiplies
-        # to ~p*q =~ 2^70 coefficients: past the int64 guard.
+        # to ~p*q =~ 2^70 coefficients: past int64.
         both_add(int_sys, spec, (p, 1, 0))
         both_add(int_sys, spec, (1, q, 0))
         both_add(int_sys, spec, (1, 1, 1))
         assert int_sys.full_rank
         assert int_sys.solve() == spec.solve()
         assert int_sys.solve() == [F(v, DEN) for v in x_nums]
-        # The retreat really happened: at least one basis row must have
-        # left the int64 representation.
-        assert any(
-            isinstance(row, list)
-            for row, _val, _bmax in int_sys._basis.values()
-        )
 
 
 class TestIntEquationSystemWithoutNumpy:
@@ -209,15 +228,12 @@ class TestIntEquationSystemWithoutNumpy:
         arrayops.reset_numpy_cache()
         try:
             int_sys = IntEquationSystem(3, DEN)
-            assert int_sys._np is None
             spec = EquationSystem(3)
             for start, count, num in [(0, 2, 30), (1, 2, 50), (0, 3, 60)]:
                 int_sys.add(IntEquation.window(3, start, count, num))
                 spec.add(_spec_window(3, start, count, num))
             assert int_sys.full_rank
             assert int_sys.solve() == spec.solve()
-            for row, _val, _bmax in int_sys._basis.values():
-                assert isinstance(row, list)
         finally:
             monkeypatch.undo()
             arrayops.reset_numpy_cache()
@@ -250,9 +266,9 @@ class TestCyclicPairSumsInts:
             assert cell_a is cell_b
 
 
-def _distances_sched(n, seed, **kwargs):
+def _distances_sched(n, seed, backend="array", **kwargs):
     state = random_configuration(n, seed=seed, common_sense=False)
-    sched = Scheduler(state, Model.PERCEPTIVE, backend="array", **kwargs)
+    sched = Scheduler(state, Model.PERCEPTIVE, backend=backend, **kwargs)
     _speculative_preset(sched, leader=False, labels=True)
     return sched
 
@@ -298,7 +314,6 @@ class TestNativeDistancesEngines:
         integer mode must perform no Fraction arithmetic at all --
         harvest, elimination and back-substitution are integer-only,
         and Fractions appear solely via constructor calls on read."""
-        pytest.importorskip("numpy")
         sched = _distances_sched(12, seed=5)
         calls = {"arith": 0}
         adds = {"n": 0}
@@ -335,6 +350,114 @@ class TestNativeDistancesEngines:
         gaps = sched.population.get_column(KEY_LD_GAPS)
         assert sum(gaps[0], F(0)) == 1
 
+
+    @staticmethod
+    def _outcome(n, seed, backend, engine=None, **kwargs):
+        """``(rounds, snapshot, gap columns)`` of one Distances run, or
+        the exception it raised as ``(type, message, round)``."""
+        sched = _distances_sched(n, seed, backend=backend, **kwargs)
+        try:
+            rounds = discover_distances(sched, engine=engine)
+        except (ProtocolError, SingularSystemError) as exc:
+            return type(exc), str(exc), sched.rounds
+        gaps = sched.population.get_column(KEY_LD_GAPS)
+        return rounds, sched.state.snapshot(), [list(col) for col in gaps]
+
+    @staticmethod
+    def _count_adds(monkeypatch):
+        counts = {"int": 0, "fraction": 0}
+        for key, cls in (
+            ("int", IntEquationSystem), ("fraction", EquationSystem)
+        ):
+            def counting(self, eq, _real=cls.add, _key=key):
+                counts[_key] += 1
+                return _real(self, eq)
+
+            monkeypatch.setattr(cls, "add", counting)
+        return counts
+
+    @pytest.mark.parametrize("n", [8, 10, 14])
+    def test_scalar_lattice_runs_take_the_int_engine(self, n, monkeypatch):
+        want = self._outcome(n, n, "lattice", engine="fraction")
+        counts = self._count_adds(monkeypatch)
+        assert self._outcome(n, n, "lattice") == want
+        assert counts["int"] > 0
+        assert counts["fraction"] == 0
+
+    def test_fraction_backend_keeps_the_spec(self, monkeypatch):
+        counts = self._count_adds(monkeypatch)
+        got = self._outcome(8, 2, "fraction")
+        assert counts["int"] == 0 and counts["fraction"] > 0
+        assert got == self._outcome(8, 2, "lattice")
+
+    @pytest.mark.parametrize("backend", ["lattice", "array"])
+    def test_cross_validated_runs_keep_the_shadow(
+        self, backend, monkeypatch
+    ):
+        seen = []
+        original = IntEquationSystem.__init__
+
+        def spy(self, n, den, cross_check=False):
+            seen.append(cross_check)
+            original(self, n, den, cross_check=cross_check)
+
+        monkeypatch.setattr(IntEquationSystem, "__init__", spy)
+        got = self._outcome(8, 4, backend, cross_validate=True)
+        assert seen == [True] * 8
+        assert got == self._outcome(8, 4, backend, engine="fraction")
+
+    @pytest.mark.parametrize("backend", ["lattice", "array"])
+    @pytest.mark.parametrize("seed, plan", [
+        # Distances is overdetermined: each of these faults makes a
+        # later observation contradict the basis, in different rounds
+        (6, dict(delays=((1, 1),), byzantine=((4, 3, "flip"),))),
+        (0, dict(delays=((6, 1),), byzantine=((2, 7, "flip"),))),
+        (6, dict(crashes=((3, 2),))),
+    ])
+    def test_engines_agree_under_fault_plan(self, seed, plan, backend):
+        """Faults rewrite directions only, so every observation stays
+        on the shared grid and the int engine recovers it exactly:
+        equal results, or the same exception in the same round, as the
+        spec engine."""
+        from repro.faults.plan import FaultPlan
+
+        outcomes = {
+            engine: self._outcome(
+                10, seed, backend, engine=engine, faults=FaultPlan(**plan)
+            )
+            for engine in ("int", "fraction")
+        }
+        assert outcomes["int"] == outcomes["fraction"]
+        assert outcomes["int"] != self._outcome(10, seed, backend)
+
+    def test_materialised_recovery_refuses_off_grid_values(self):
+        from repro.protocols.policies.distances import _grid_numerator
+
+        assert _grid_numerator(F(3, 4), 8) == 6
+        assert _grid_numerator(F(0), 8) == 0
+        with pytest.raises(ProtocolError, match="not on the 1/8 grid"):
+            _grid_numerator(F(1, 16), 8)
+
+    def test_solved_gaps_are_interned_across_agents(self):
+        sched = _distances_sched(12, seed=7, backend="lattice")
+        discover_distances(sched)
+        gaps = sched.population.get_column(KEY_LD_GAPS)
+        distinct = {id(cell) for col in gaps for cell in col}
+        assert len(distinct) == len({cell for col in gaps for cell in col})
+
+    def test_solve_cache_shares_values_between_systems(self):
+        cache = {}
+        solutions = []
+        for shift in range(3):
+            int_sys = IntEquationSystem(3, DEN)
+            nums = [10, 20, 30][shift:] + [10, 20, 30][:shift]
+            for col, num in enumerate(nums):
+                int_sys.add(IntEquation.window(3, col, 1, num))
+            solutions.append(int_sys.solve(cache=cache))
+        assert solutions[0] == [F(10, DEN), F(20, DEN), F(30, DEN)]
+        assert solutions[1][0] is solutions[0][1]
+        assert solutions[2][0] is solutions[0][2]
+        assert len(cache) == 3
 
 def _sweep_sched(n, seed, model, **kwargs):
     state = random_configuration(n, seed=seed, common_sense=False)
